@@ -114,9 +114,6 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     eps_grid = _parse_float_grid(args.eps_grid, "--eps-grid")
     n_grid = _parse_int_grid(args.n_grid, "--n-grid")
     seeds = _parse_int_grid(args.seeds, "--seeds")
-    for eps in eps_grid:
-        if not (0.0 < eps < 1.0):
-            raise InputError(f"epsilon {eps:g} outside the supported range (0, 1)")
     estimates = modulus_scan(h, args.kind, eps_grid, n_grid, seeds)
     if args.format == "csv":
         sys.stdout.write(estimates_to_csv(estimates))

@@ -8,12 +8,14 @@ after construction; the backing arrays are locked read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .seeding import counter_uniform
+from .seeding import key_uniform
 
 MEASURE_TOL = 1e-12
 
@@ -128,6 +130,8 @@ class DiracMixture:
     """Finitely supported probability distribution on [0, 1]."""
 
     atoms: tuple[tuple[float, float], ...]
+    _cumulative: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = tuple((float(v), float(p)) for v, p in self.atoms)
@@ -141,19 +145,20 @@ class DiracMixture:
                 raise ValueError("atom probabilities must be positive")
         if abs(sum(p for _, p in atoms) - 1.0) > MEASURE_TOL:
             raise ValueError("atom probabilities must sum to 1")
+        # Running probability sums, added left to right in atom order.  A
+        # quantile past the last sum (it can fall short of 1 by rounding)
+        # picks the last atom, hence the repeated last value.
+        object.__setattr__(self, "_cumulative", tuple(accumulate(p for _, p in atoms)))
+        object.__setattr__(self, "_values", tuple(v for v, _ in atoms) + (atoms[-1][0],))
 
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
 
     def pick(self, u: float) -> float:
-        """Atom value at quantile u in [0, 1)."""
-        acc = 0.0
-        for v, p in self.atoms:
-            acc += p
-            if u < acc:
-                return v
-        return self.atoms[-1][0]
+        """Atom value at quantile u in [0, 1): the first atom whose running
+        probability sum exceeds u."""
+        return self._values[bisect_right(self._cumulative, u)]
 
 
 def dirac_d1() -> DiracMixture:
@@ -183,18 +188,18 @@ def dirac_d4(eps: float) -> DiracMixture:
 def sample_block_random(n: int, d: DiracMixture, seed: int) -> StepKernel:
     """Random block kernel: n equal parts, block (i, j) value drawn i.i.d. from d.
 
-    The value of block (i, j) is a pure function of (seed, i, j), so the
-    sample is bit-exact reproducible and independent of iteration order.
+    The value of block (i, j), i <= j, is d.pick(counter_uniform("block",
+    seed, i, j)), a pure function of (seed, i, j), so the sample is
+    bit-exact reproducible and independent of iteration order.
     """
     if n < 1:
         raise ValueError("need at least one part")
-    values = np.empty((n, n))
+    pick = d.pick
+    rows: list[list[float]] = []
     for i in range(n):
-        for j in range(i, n):
-            x = d.pick(counter_uniform("block", seed, i, j))
-            values[i, j] = x
-            values[j, i] = x
-    return StepKernel(np.full(n, 1.0 / n), values)
+        # row i: column i of the rows above it, then blocks (i, i), ..., (i, n - 1)
+        rows.append([row[i] for row in rows] + [pick(key_uniform(f"block/{seed}/{i}/{j}")) for j in range(i, n)])
+    return StepKernel(np.full(n, 1.0 / n), np.array(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,39 @@ def _sample_normalized(h: Graph, n: int, seed: int, role: str) -> tuple[StepKern
     raise RuntimeError(f"sampled kernel had zero norm {_MAX_RESAMPLES} times (n={n}, seed={seed})")
 
 
+_KINDS = {"convexity": CONVEXITY, "smoothness": SMOOTHNESS, CONVEXITY: CONVEXITY, SMOOTHNESS: SMOOTHNESS}
+
+
+def _require_witness_inputs(h: Graph, eps_grid: Sequence[float]) -> None:
+    for eps in eps_grid:
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"epsilon {eps} outside the supported range (0, 1)")
+    if h.edge_count == 0:
+        raise ValueError("need a graph with at least one edge")
+
+
+def _witnesses(h: Graph, kind: str, eps_grid: Sequence[float], n: int, seed: int) -> list[ModulusEstimate]:
+    """Witnesses of one kind at one (n, seed), one per epsilon, in grid order.
+
+    The normalized pair (x, y) does not depend on epsilon, so it is drawn
+    once and shared by every estimate.  A convexity witness does not
+    depend on epsilon at all, so its two norms are computed once.
+    """
+    _, x = _sample_normalized(h, n, seed, "u1")
+    _, y = _sample_normalized(h, n, seed, "u2")
+    pair = (x, y)
+    if kind == CONVEXITY:
+        separation = norm_rh(h, combine(1.0, x, -1.0, y))
+        deficiency = 1.0 - norm_rh(h, combine(0.5, x, 0.5, y))
+        return [ModulusEstimate(h, kind, eps, n, seed, deficiency, pair, separation) for eps in eps_grid]
+    out = []
+    for eps in eps_grid:
+        plus = norm_rh(h, combine(1.0, x, eps, y))
+        minus = norm_rh(h, combine(1.0, x, -eps, y))
+        out.append(ModulusEstimate(h, kind, eps, n, seed, 0.5 * (plus + minus - 2.0), pair))
+    return out
+
+
 def convexity_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEstimate:
     """Upper-bound witness for the modulus of convexity at epsilon.
 
@@ -95,26 +128,10 @@ def convexity_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEst
     (||x - y||, 1 - ||(x + y)/2||); whenever the separation reaches
     epsilon, the second number upper-bounds the modulus.  Both the
     separation and the midpoint deficiency are O(1/n) away from their
-    limits 1 and 0.
+    limits 1 and 0.  Neither depends on epsilon.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if h.edge_count == 0:
-        raise ValueError("need a graph with at least one edge")
-    _, x = _sample_normalized(h, n, seed, "u1")
-    _, y = _sample_normalized(h, n, seed, "u2")
-    separation = norm_rh(h, combine(1.0, x, -1.0, y))
-    deficiency = 1.0 - norm_rh(h, combine(0.5, x, 0.5, y))
-    return ModulusEstimate(
-        graph=h,
-        kind=CONVEXITY,
-        epsilon=epsilon,
-        n=n,
-        seed=seed,
-        value=deficiency,
-        witnesses=(x, y),
-        separation=separation,
-    )
+    _require_witness_inputs(h, [epsilon])
+    return _witnesses(h, CONVEXITY, [epsilon], n, seed)[0]
 
 
 def smoothness_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEstimate:
@@ -124,23 +141,8 @@ def smoothness_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEs
     is a valid lower bound since ||eps y|| = eps; it approaches eps / 2 as
     n grows.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if h.edge_count == 0:
-        raise ValueError("need a graph with at least one edge")
-    _, x = _sample_normalized(h, n, seed, "u1")
-    _, y = _sample_normalized(h, n, seed, "u2")
-    plus = norm_rh(h, combine(1.0, x, epsilon, y))
-    minus = norm_rh(h, combine(1.0, x, -epsilon, y))
-    return ModulusEstimate(
-        graph=h,
-        kind=SMOOTHNESS,
-        epsilon=epsilon,
-        n=n,
-        seed=seed,
-        value=0.5 * (plus + minus - 2.0),
-        witnesses=(x, y),
-    )
+    _require_witness_inputs(h, [epsilon])
+    return _witnesses(h, SMOOTHNESS, [epsilon], n, seed)[0]
 
 
 def modulus_scan(
@@ -150,24 +152,21 @@ def modulus_scan(
     n_grid: Sequence[int],
     seeds: Sequence[int],
 ) -> list[ModulusEstimate]:
-    """Witnesses over the full (epsilon, n, seed) grid.
+    """Witnesses over the full (epsilon, n, seed) grid, in that loop order.
 
-    Each cell equals the corresponding single witness call, so scans can
-    be reproduced piecewise.  Epsilon values outside (0, 1) are rejected:
-    the witness construction is only meaningful on that range.
+    Each cell equals the corresponding single witness call bit for bit, so
+    scans can be reproduced piecewise.  The sample pair is drawn once per
+    (n, seed) and shared by the estimates of every epsilon; a convexity
+    witness does not depend on epsilon, so its value is the same in every
+    epsilon row.  Epsilon values outside (0, 1) are rejected: the witness
+    construction is only meaningful on that range.
     """
-    if kind not in (CONVEXITY, SMOOTHNESS, "convexity", "smoothness"):
+    if kind not in _KINDS:
         raise ValueError(f"kind must be 'convexity' or 'smoothness', got {kind!r}")
-    witness = convexity_witness if kind in (CONVEXITY, "convexity") else smoothness_witness
-    for eps in eps_grid:
-        if not (0.0 < eps < 1.0):
-            raise ValueError(f"epsilon {eps} outside the supported range (0, 1)")
-    out = []
-    for eps in eps_grid:
-        for n in n_grid:
-            for seed in seeds:
-                out.append(witness(h, eps, n, seed))
-    return out
+    eps_grid = list(eps_grid)
+    _require_witness_inputs(h, eps_grid)
+    cells = {(n, seed): _witnesses(h, _KINDS[kind], eps_grid, n, seed) for n in n_grid for seed in seeds}
+    return [cells[n, seed][k] for k in range(len(eps_grid)) for n in n_grid for seed in seeds]
 
 
 def estimates_to_csv(estimates: Sequence[ModulusEstimate]) -> str:

@@ -142,7 +142,9 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
     In weak mode all decoration kernels must be non-negative and the bound
     is the product of t(h, W_e); in semi mode signed kernels are allowed
     and the bound takes absolute values.  A ratio above 1 + 1e-9 refutes
-    the corresponding norming property of h.
+    the corresponding norming property of h.  A side whose magnitude
+    overflows is reported as inf and leaves the ratio nan: such a
+    decoration decides nothing, so it never refutes.
     """
     _require_mode(mode)
     if d.host != h:
@@ -155,9 +157,15 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
             if not is_nonnegative(w):
                 raise ValueError(f"weak mode requires non-negative kernels; edge {e} is signed")
     terms = density_many(h, [d.kernels[e] for e in h.sorted_edges])
-    lhs = decorated_density(d) ** m
-    rhs = float(np.prod(terms)) if mode == "weak" else float(np.prod(np.abs(terms)))
-    if rhs > 0.0:
+    try:
+        lhs = decorated_density(d) ** m
+    except OverflowError:
+        lhs = math.inf
+    with np.errstate(over="ignore"):
+        rhs = float(np.prod(terms)) if mode == "weak" else float(np.prod(np.abs(terms)))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        ratio = math.nan
+    elif rhs > 0.0:
         ratio = lhs / rhs
     elif lhs > 0.0:
         ratio = math.inf

@@ -10,13 +10,22 @@ from __future__ import annotations
 import hashlib
 
 
+def _key_seed(key: str) -> int:
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+
+
 def derive_seed(*parts: object) -> int:
     """64-bit integer derived from the given key parts."""
-    key = "/".join(str(p) for p in parts)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _key_seed("/".join(map(str, parts)))
 
 
 def counter_uniform(*parts: object) -> float:
     """Uniform float in [0, 1) keyed by the given parts."""
     return derive_seed(*parts) / 2.0**64
+
+
+def key_uniform(key: str) -> float:
+    """counter_uniform for parts already joined the way derive_seed joins
+    them: key_uniform("a/1/2") == counter_uniform("a", 1, 2).  Lets a hot
+    loop build its keys with one f-string each."""
+    return _key_seed(key) / 2.0**64

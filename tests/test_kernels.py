@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from statistics import median
@@ -38,6 +39,7 @@ from graphnorms import (
     special_kernel,
     subtract,
 )
+from graphnorms.norming import _VALUE_GRID
 from conftest import random_kernel
 
 
@@ -172,6 +174,54 @@ def test_sampling_single_part():
 def test_sampling_symmetric():
     w = sample_block_random(20, dirac_d2(), 5)
     assert np.array_equal(w.values, w.values.T)
+
+
+def _reference_pick(d: DiracMixture, u: float) -> float:
+    """The original DiracMixture.pick: a linear scan of the running sums."""
+    acc = 0.0
+    for v, p in d.atoms:
+        acc += p
+        if u < acc:
+            return v
+    return d.atoms[-1][0]
+
+
+def _reference_block_random(n: int, d: DiracMixture, seed: int) -> np.ndarray:
+    """Block values by the original per-block formula: one sha256 counter
+    per block, picked by the linear scan."""
+    values = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            key = "/".join(str(p) for p in ("block", seed, i, j))
+            u = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big") / 2.0**64
+            values[i, j] = values[j, i] = _reference_pick(d, u)
+    return values
+
+
+_MIXTURES = [dirac_d1(), dirac_d2(), dirac_d3(0.3), _VALUE_GRID]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 33]),
+    st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    st.sampled_from(_MIXTURES),
+)
+def test_sampling_matches_per_block_formula(n, seed, d):
+    w = sample_block_random(n, d, seed)
+    assert w.values.tobytes() == _reference_block_random(n, d, seed).tobytes()
+    assert np.array_equal(w.measures, np.full(n, 1.0 / n))
+
+
+@given(
+    # ten atoms of 0.1: the running sums end at 0.9999999999999999 < 1
+    st.sampled_from(_MIXTURES + [DiracMixture(tuple((k / 10, 0.1) for k in range(10)))]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_mixture_pick_matches_linear_scan(d, u):
+    boundaries = [sum(p for _, p in d.atoms[: k + 1]) for k in range(len(d.atoms))]
+    for q in (u, *boundaries):
+        assert d.pick(q) == _reference_pick(d, q)
 
 
 def test_one_minus_sample_looks_like_sample():

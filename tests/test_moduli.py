@@ -13,6 +13,7 @@ from graphnorms import (
     absolute,
     add,
     combine,
+    complete_bipartite,
     concentration_check,
     concentration_scan,
     convexity_witness,
@@ -231,6 +232,24 @@ def test_scan_cell_matches_witness(c4):
     direct = smoothness_witness(c4, 0.5, 32, 7)
     assert len(ests) == 1
     assert ests[0].value == direct.value
+
+
+@pytest.mark.parametrize("kind", ["convexity", "smoothness"])
+def test_every_scan_cell_matches_its_witness(kind):
+    h = complete_bipartite(2, 3)
+    eps_grid, n_grid, seeds = [0.25, 0.5, 0.75], [8, 24], [0, 11]
+    witness = convexity_witness if kind == "convexity" else smoothness_witness
+    ests = modulus_scan(h, kind, eps_grid, n_grid, seeds)
+    cells = [(eps, n, seed) for eps in eps_grid for n in n_grid for seed in seeds]
+    assert [(e.epsilon, e.n, e.seed) for e in ests] == cells
+    for e, (eps, n, seed) in zip(ests, cells):
+        direct = witness(h, eps, n, seed)
+        assert (e.kind, e.value, e.separation) == (direct.kind, direct.value, direct.separation)
+        for a, b in zip(e.witnesses, direct.witnesses):
+            assert a.values.tobytes() == b.values.tobytes()
+    # one sample pair per (n, seed), shared by every epsilon
+    by_cell = {(e.n, e.seed): e.witnesses for e in ests[: len(n_grid) * len(seeds)]}
+    assert all(e.witnesses is by_cell[e.n, e.seed] for e in ests)
 
 
 def test_scan_rejects_out_of_range_eps(c4):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from graphnorms import (
     certificate_to_json,
     complete_bipartite,
     component_analysis,
+    constant_kernel,
     cycle,
     decorated_density,
     density,
@@ -96,6 +98,15 @@ def test_edge_mismatch_decoration_ratio_is_four(c4, c6):
     assert report.ratio == 4.0
 
 
+def test_overflowing_side_never_violates(c4):
+    # t(C4, 1e20) = 1e80 is finite, but its fourth power and the product
+    # side overflow the float range.
+    report = holder_check(c4, Decoration.uniform(c4, constant_kernel(1e20)), "weak")
+    assert report.lhs == math.inf
+    assert math.isnan(report.ratio)
+    assert not report.violated
+
+
 # ---------------------------------------------------------------------------
 # Hoelder search
 # ---------------------------------------------------------------------------
@@ -118,6 +129,12 @@ def test_search_finds_structured_mismatch(c4, c6):
     assert cert is not None
     ok, detail = validate_certificate(cert)
     assert ok, detail
+
+
+def test_weak_k44_search_survives_overflowing_trials():
+    # Trial 648 of seed 3 (a dyadic diagonal decoration) overflows both sides.
+    verdict = full_verdict(complete_bipartite(4, 4), "weak", 1000, seed=3)
+    assert verdict.overall != REFUTED
 
 
 @pytest.mark.parametrize("seed", [0, 1])
