@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .density import density, elimination_plan, norm_h, norm_rh
+from .density import density, elimination_plan
 from .graphs import Graph, GraphParseError, parse_edge_list
-from .kernels import kernel_from_json
+from .kernels import absolute, kernel_from_json
 from .moduli import estimate_to_json, estimates_to_csv, modulus_scan
 from .norming import (
     REFUTED,
@@ -80,11 +80,12 @@ def cmd_density(args: argparse.Namespace) -> int:
     if h.edge_count == 0:
         raise InputError("graph has no edges; density is trivially 1 and norms are undefined")
     t = density(h, w)
-    plan = elimination_plan(h)
+    m = h.edge_count
+    # the same expressions as norm_h / norm_rh, with t computed once
     print(f"t(H,W) = {t:.12g}")
-    print(f"norm_H(W) = {norm_h(h, w):.12g}")
-    print(f"norm_rH(W) = {norm_rh(h, w):.12g}")
-    print(f"elimination_width = {plan.width}")
+    print(f"norm_H(W) = {abs(t) ** (1.0 / m):.12g}")
+    print(f"norm_rH(W) = {density(h, absolute(w)) ** (1.0 / m):.12g}")
+    print(f"elimination_width = {elimination_plan(h).width}")
     return EXIT_OK
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +30,10 @@ _BATCH = -1  # pseudo-variable: a shared leading axis carried through a contract
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 BRUTE_FORCE_LIMIT = 10**8
+# Largest step output, in array elements (parts^width x batch), that a
+# contraction may allocate: 2^25 float64 values are 256 MiB.
+CONTRACTION_LIMIT = 2**25
+_CACHE_SIZE = 64  # compiled graphs kept; a miss recompiles, so this bounds memory only
 
 
 @dataclass(frozen=True)
@@ -39,12 +44,14 @@ class EliminationPlan:
     width: int
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def elimination_plan(g: Graph) -> EliminationPlan:
     """Greedy min-fill order (ties: degree, then index) with its induced width.
 
     The width is the maximum number of neighbors a vertex has at the moment
     it is eliminated: 1 on trees, 2 on cycles, v-1 on complete graphs.
-    Evaluation cost is O(parts^(width+1)) per eliminated vertex.
+    Evaluation takes O(parts^(width+1)) time and O(parts^width) memory per
+    eliminated vertex.  Plans are cached per graph.
     """
     adj: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
     for u, v in g.edges:
@@ -75,64 +82,293 @@ def elimination_plan(g: Graph) -> EliminationPlan:
 
 
 # ---------------------------------------------------------------------------
-# Factor contraction
+# Compiled elimination
 # ---------------------------------------------------------------------------
+#
+# A factor is a (vars, slot) pair: the array in that slot is indexed by its
+# vars in order.  Eliminating vertex v takes the factors that mention v,
+# whose vars together are U = {v} + v's current neighbors, and replaces
+# them by one factor over U - {v}:
+#
+# - every factor whose vars are a subset of another's is folded into it
+#   (the measure vector, repeated factors);
+# - the resulting groups are split into two sides, such that no product
+#   of two or more groups spans all of U; each side is multiplied out and
+#   v is summed out by one matmul of the two sides;
+# - when no such split exists (the triangle pattern abc,abd,acd) the step
+#   is one multi-operand einsum, which loops without an intermediate.
+#
+# So no step builds a parts^|U| array: a step allocates its output (at most
+# parts^width, times the batch) plus copies the size of its operands.  The
+# schedule is compiled once per (graph, order, batched) into closures over
+# precomputed permutations and einsum strings.
 
-def _einsum_pair(vars_a, arr_a, vars_b, arr_b, drop):
-    letters: dict[int, str] = {}
-    for v in (*vars_a, *vars_b):
-        if v not in letters:
-            letters[v] = _LETTERS[len(letters)]
-    out_vars = tuple(v for v in letters if v != drop)
-    expr = (
-        "".join(letters[v] for v in vars_a)
-        + ","
-        + "".join(letters[v] for v in vars_b)
-        + "->"
-        + "".join(letters[v] for v in out_vars)
-    )
-    return out_vars, np.einsum(expr, arr_a, arr_b)
+def _sum_step(axis: int):
+    def run(a):
+        return a.sum(axis=axis)
+
+    return run
 
 
-def _eliminate(factors, order):
-    """Sum the given vertex variables out of a factor list.
+def _aligner(vars_: tuple, layout: tuple):
+    """The transpose and None-index that show an array over vars_ in layout."""
+    perm = tuple([vars_.index(u) for u in layout if u in vars_])
+    index = None
+    if len(perm) < len(layout):
+        index = tuple([slice(None) if u in vars_ else None for u in layout])
+    return (None if perm == tuple(range(len(perm))) else perm), index
 
-    factors: list of (vars tuple, ndarray); arrays are indexed by their vars
-    in order.  Returns the product of whatever is left: a float, or a batch
-    vector when the _BATCH pseudo-variable is present.
+
+def _product_step(in_vars: list[tuple], layout: tuple):
+    """Broadcast product of the inputs, C-contiguous in layout.
+
+    The first multiply allocates; once the running product spans all of
+    layout, later factors are multiplied into it in place.
     """
-    factors = list(factors)
+    views = [_aligner(vs, layout) for vs in in_vars]
+    full, covered, inplace = set(layout), set(), []
+    for i, vs in enumerate(in_vars):
+        inplace.append(i >= 2 and covered == full)
+        covered |= set(vs)
+    plan = tuple(zip(views, inplace))
+
+    def run(*arrays):
+        out = None
+        for a, ((perm, index), in_place) in zip(arrays, plan):
+            if perm is not None:
+                a = a.transpose(perm)
+            if index is not None:
+                a = a[index]
+            if out is None:
+                out = a
+            elif in_place:
+                np.multiply(out, a, out=out)
+            else:
+                out = np.multiply(out, a, order="C")
+        return out
+
+    return run
+
+
+def _matmul_step(x_perm, y_perm, lead: int):
+    """Sum the last axis of x against axis `lead` of y, after the given transposes;
+    both then start with the same `lead` axes."""
+
+    def run(x, y):
+        if x_perm is not None:
+            x = x.transpose(x_perm)
+        if y_perm is not None:
+            y = y.transpose(y_perm)
+        head = x.shape[:lead]
+        out = np.matmul(x.reshape(head + (-1, x.shape[-1])), y.reshape(head + (y.shape[lead], -1)))
+        return out.reshape(head + x.shape[lead:-1] + y.shape[lead + 1:])
+
+    return run
+
+
+def _einsum_step(in_vars: list[tuple], out_vars: tuple):
+    letters = {u: _LETTERS[i] for i, u in enumerate(sorted(set().union(*in_vars)))}
+    expr = (
+        ",".join("".join(letters[u] for u in vs) for vs in in_vars)
+        + "->"
+        + "".join(letters[u] for u in out_vars)
+    )
+
+    def run(*arrays):
+        return np.einsum(expr, *arrays)
+
+    return run
+
+
+def _span(factors) -> frozenset:
+    return frozenset([u for vs, _ in factors for u in vs])
+
+
+def _layouts(v: int, x: tuple, y: tuple):
+    """Axis orders for side x (lead + own + v) and side y (lead + v + own),
+    and the output vars.  A side is (factors, span): a list of (vars, slot)
+    pairs and the set of their vars; orders follow a lone factor's own
+    order where there is one."""
+    (xf, x_vars), (yf, y_vars) = x, y
+    x_ref = xf[0][0] if len(xf) == 1 else sorted(x_vars)
+    y_ref = yf[0][0] if len(yf) == 1 else sorted(y_vars)
+    lead_set = (x_vars & y_vars) - {v}
+    lead = tuple([u for u in (x_ref if len(xf) == 1 else y_ref) if u in lead_set])
+    x_own = tuple([u for u in x_ref if u not in y_vars])
+    y_own = tuple([u for u in y_ref if u not in x_vars])
+    return lead + x_own + (v,), lead + (v,) + y_own, lead + x_own + y_own, len(lead)
+
+
+def _best_split(clusters: list, union: frozenset) -> list | None:
+    """The cheapest split of the (span, factors) clusters into two sides such
+    that no product of two or more clusters spans the union; None when
+    there is none.
+
+    Cost: the sizes of the products that must be built (a lone factor is
+    used as it is), then the number of shared axes.
+    """
+    k = len(clusters)
+    # Every split up to 10 clusters; beyond that, one cluster against the rest.
+    masks = range(1, 2 ** (k - 1)) if k <= 10 else [1 << i for i in range(k - 1)] + [2 ** (k - 1) - 1]
+    best = None
+    for mask in masks:
+        sides, cost = [], 0
+        for bit in (1, 0):
+            chosen = [c for i, c in enumerate(clusters) if (mask >> i) & 1 == bit]
+            span = frozenset().union(*(c[0] for c in chosen))
+            if len(chosen) > 1 and span == union:
+                break
+            factors = [f for c in chosen for f in c[1]]
+            cost += 64 ** len(span) if len(factors) > 1 else 0
+            sides.append((factors, span))
+        else:
+            key = (cost, len(sides[0][1] & sides[1][1]))
+            if best is None or key < best[0]:
+                best = (key, sides)
+    return None if best is None else best[1]
+
+
+def _compile_step(v: int, group: list, emit) -> tuple:
+    """Emit the steps that sum v out of group; return the new (vars, slot)."""
+    if len(group) == 1:
+        ((vs, slot),) = group
+        return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
+    union = _span(group)
+    clusters: list = []  # (span, [head factor, factors folded into it])
+    for f in sorted(group, key=lambda f: -len(f[0])):
+        own, host = frozenset(f[0]), None
+        for c in clusters:
+            if own <= c[0] and (host is None or len(c[0]) < len(host[0])):
+                host = c
+        if host is None:
+            clusters.append((own, [f]))
+        else:
+            host[1].append(f)
+    if len(clusters) == 1:
+        head, *folded = clusters[0][1]
+        rest = _span(folded)
+        if rest != union:
+            sides = [(folded, rest), ([head], union)]
+        else:
+            # the folded factors span the head: multiply them into it, then sum
+            vs, slot = emit(_product_step([f[0] for f in group], head[0]), [f[1] for f in group], head[0])
+            return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
+    elif len(clusters) == 2:
+        sides = [(factors, span) for span, factors in clusters]
+    else:
+        sides = _best_split(clusters, union)
+    if sides is None:
+        # fold each cluster into its head, summed axis last, then one einsum
+        heads = []
+        for _, (head, *folded) in clusters:
+            if folded:
+                layout = tuple([u for u in head[0] if u != v]) + (v,)
+                members = [head, *folded]
+                head = emit(_product_step([f[0] for f in members], layout), [f[1] for f in members], layout)
+            heads.append(head)
+        out_vars = tuple(sorted(union - {v}))
+        return emit(_einsum_step([vs for vs, _ in heads], out_vars), [slot for _, slot in heads], out_vars)
+    x, y = sides
+    x_layout, y_layout, out_vars, lead = _layouts(v, x, y)
+    operands, perms = [], []
+    for (side, _), layout in ((x, x_layout), (y, y_layout)):
+        if len(side) == 1:
+            ((vs, slot),) = side
+            perm = tuple([vs.index(u) for u in layout])
+            perms.append(None if perm == tuple(range(len(perm))) else perm)
+        else:
+            side = sorted(side, key=lambda f: -len(f[0]))
+            _, slot = emit(_product_step([f[0] for f in side], layout), [f[1] for f in side], layout)
+            perms.append(None)
+        operands.append(slot)
+    return emit(_matmul_step(*perms, lead), operands, out_vars)
+
+
+class _Program(NamedTuple):
+    """A compiled elimination: slots 0..n-1 hold the measure vector, the next
+    ones the edge arrays in `edges` order, and each step fills one more."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[Callable, tuple[int, ...], int], ...]
+    results: tuple[tuple[int, bool], ...]  # (slot, is a batch vector) left at the end
+    widest: int  # most vertex axes on a step output without the batch axis
+    widest_batched: int  # the same over outputs with it; -1 when there are none
+
+    def largest_output(self, parts: int, batch: int) -> int:
+        """Elements of the largest array a step allocates."""
+        plain = parts**self.widest
+        return max(plain, parts**self.widest_batched * batch) if self.widest_batched >= 0 else plain
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _program(g: Graph, order: tuple[int, ...] | None, batched: bool) -> _Program:
+    """Compile the elimination of g along order (default: its greedy plan)."""
+    if order is None:
+        order = elimination_plan(g).order
+    n, edges = g.vertex_count, g.sorted_edges
+    factors = [((v,), v) for v in range(n)]
+    factors += [((_BATCH, *e) if batched else e, n + i) for i, e in enumerate(edges)]
+    steps: list = []
+    widest = {False: 0, True: -1}
+
+    def emit(run, ins, out_vars):
+        slot = n + len(edges) + len(steps)
+        steps.append((run, tuple(ins), slot))
+        has_batch = _BATCH in out_vars
+        widest[has_batch] = max(widest[has_batch], len(out_vars) - has_batch)
+        return out_vars, slot
+
     for v in order:
         group = [f for f in factors if v in f[0]]
-        rest = [f for f in factors if v not in f[0]]
-        group.sort(key=lambda f: (len(f[0]), f[0]))
-        gv, ga = group[0]
-        if len(group) == 1:
-            axis = gv.index(v)
-            gv = tuple(x for x in gv if x != v)
-            ga = ga.sum(axis=axis)
-        else:
-            for i, (fv, fa) in enumerate(group[1:]):
-                last = i == len(group) - 2
-                gv, ga = _einsum_pair(gv, ga, fv, fa, drop=v if last else None)
-        factors = rest + [(gv, ga)]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append(_compile_step(v, group, emit))
+    results = tuple((slot, bool(vs)) for vs, slot in factors)
+    return _Program(n, edges, tuple(steps), results, widest[False], widest[True])
+
+
+def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
+    slots = [measures] * program.vertex_count + edge_arrays + [None] * len(program.steps)
+    for run, ins, out in program.steps:
+        slots[out] = run(*[slots[i] for i in ins])
+        for i in ins:
+            slots[i] = None  # free each intermediate as soon as it is used
     result = None
-    for fv, fa in factors:
-        piece = fa if fv else float(fa)
+    for slot, vector in program.results:
+        piece = slots[slot] if vector else float(slots[slot])
         result = piece if result is None else result * piece
     return 1.0 if result is None else result
 
 
-def _component_value(comp: Graph, edge_arrays, measures, order=None):
-    factors = [((v,), measures) for v in range(comp.vertex_count)]
-    for edge in comp.sorted_edges:
-        arr = edge_arrays[edge]
-        if arr.ndim == 2:
-            factors.append((edge, arr))
-        else:
-            factors.append(((_BATCH, *edge), arr))
-    elim = tuple(order) if order is not None else elimination_plan(comp).order
-    return _eliminate(factors, elim)
+def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None,
+              order: Sequence[int] | None = None):
+    """The one contraction core behind every density.
+
+    edge_array(e) gives the value array of edge e of h: parts x parts, or
+    batch x parts x parts when `batch` is set.  Without an order each
+    connected component with edges is eliminated along its own cached plan
+    and the component values are multiplied; with one, h is eliminated
+    whole along it.  Raises ValueError, before allocating anything, when a
+    step would exceed CONTRACTION_LIMIT elements.
+    """
+    batched = batch is not None
+    if order is not None:
+        jobs = [(_program(h, _check_order(h, order), batched), range(h.vertex_count))]
+    else:
+        jobs = [(_program(c.graph, None, batched), c.vertices) for c in components(h) if c.graph.edge_count]
+    parts = measures.size
+    for program, _ in jobs:
+        size = program.largest_output(parts, batch or 1)
+        if size > CONTRACTION_LIMIT:
+            raise ValueError(
+                f"contraction needs a step of {size} elements ({parts} parts), over the "
+                f"{CONTRACTION_LIMIT} limit"
+            )
+    total = 1.0
+    for program, names in jobs:
+        arrays = [edge_array((names[a], names[b])) for a, b in program.edges]
+        total = total * _run(program, measures, arrays)
+    return total
 
 
 def _check_order(g: Graph, order) -> tuple[int, ...]:
@@ -153,20 +389,8 @@ def density(h: Graph, w: StepKernel, *, order: Sequence[int] | None = None) -> f
     value up to floating rounding; by default each connected component uses
     its own greedy plan and the component values are multiplied.
     """
-    if order is not None:
-        arrays = {e: w.values for e in h.sorted_edges}
-        return float(_eliminate(
-            [((v,), w.measures) for v in range(h.vertex_count)]
-            + [(e, arrays[e]) for e in h.sorted_edges],
-            _check_order(h, order),
-        ))
-    total = 1.0
-    for comp in components(h):
-        if comp.graph.edge_count == 0:
-            continue
-        arrays = {e: w.values for e in comp.graph.sorted_edges}
-        total *= float(_component_value(comp.graph, arrays, w.measures))
-    return total
+    values = w.values
+    return float(_contract(h, w.measures, lambda e: values, order=order))
 
 
 def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
@@ -178,13 +402,7 @@ def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
         if not base.same_partition(k):
             raise PartitionMismatchError("density_many: kernels must share one partition")
     stack = np.stack([k.values for k in kernels])
-    total = np.ones(len(kernels))
-    for comp in components(h):
-        if comp.graph.edge_count == 0:
-            continue
-        arrays = {e: stack for e in comp.graph.sorted_edges}
-        total = total * _component_value(comp.graph, arrays, base.measures)
-    return total
+    return np.ones(len(kernels)) * _contract(h, base.measures, lambda e: stack, batch=len(kernels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,21 +441,8 @@ def decorated_density(d: Decoration, *, order: Sequence[int] | None = None) -> f
     h = d.host
     if h.edge_count == 0:
         return 1.0
-    measures = d.part_measures
-    if order is not None:
-        factors = [((v,), measures) for v in range(h.vertex_count)]
-        factors += [(e, d.kernels[e].values) for e in h.sorted_edges]
-        return float(_eliminate(factors, _check_order(h, order)))
-    total = 1.0
-    for comp in components(h):
-        if comp.graph.edge_count == 0:
-            continue
-        arrays = {}
-        for a, b in comp.graph.sorted_edges:
-            u, v = comp.vertices[a], comp.vertices[b]
-            arrays[(a, b)] = d.kernels[(u, v) if u < v else (v, u)].values
-        total *= float(_component_value(comp.graph, arrays, measures))
-    return total
+    kernels = d.kernels
+    return float(_contract(h, d.part_measures, lambda e: kernels[e].values, order=order))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -160,8 +161,9 @@ class Component:
         return self.graph.vertex_count == 1 and self.graph.edge_count == 0
 
 
-def components(g: Graph) -> list[Component]:
-    """Connected components, ordered by smallest original vertex."""
+@lru_cache(maxsize=64)
+def components(g: Graph) -> tuple[Component, ...]:
+    """Connected components, ordered by smallest original vertex (cached per graph)."""
     adj = adjacency(g)
     seen = [False] * g.vertex_count
     out: list[Component] = []
@@ -184,7 +186,7 @@ def components(g: Graph) -> list[Component]:
             vertex_count=len(members),
         )
         out.append(Component(sub, tuple(members)))
-    return out
+    return tuple(out)
 
 
 def is_connected(g: Graph) -> bool:

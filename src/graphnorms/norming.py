@@ -783,18 +783,33 @@ def certificate_to_json(cert: Certificate) -> dict:
     return out
 
 
+def _json_side(obj: dict, key: str) -> float | None:
+    x = obj.get(key)
+    if x is None:
+        return None
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return float(x)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"'{key}' must be a finite number, got {x!r}")
+
+
 def certificate_from_json(obj: dict) -> Certificate:
     if not isinstance(obj, dict) or "kind" not in obj or "graph" not in obj:
         raise ValueError("certificate JSON must have 'kind' and 'graph' fields")
+    mode = obj.get("mode", "weak")
+    _require_mode(mode)
     pair = None
     if "pair" in obj:
         pair = (graph_from_json(obj["pair"][0]), graph_from_json(obj["pair"][1]))
     return Certificate(
         kind=obj["kind"],
         graph=graph_from_json(obj["graph"]),
-        mode=obj.get("mode", "weak"),
-        lhs=obj.get("lhs"),
-        rhs=obj.get("rhs"),
+        mode=mode,
+        lhs=_json_side(obj, "lhs"),
+        rhs=_json_side(obj, "rhs"),
         decoration=decoration_from_json(obj["decoration"]) if "decoration" in obj else None,
         kernel=kernel_from_json(obj["kernel"]) if "kernel" in obj else None,
         subgraph=graph_from_json(obj["subgraph"]) if "subgraph" in obj else None,

@@ -245,6 +245,22 @@ def test_validate_wrong_schema(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("lhs", "oops"), ("rhs", [1.0]), ("lhs", True), ("rhs", False), ("mode", "strong"), ("mode", None)],
+)
+def test_validate_rejects_bad_field_types(tmp_path, capsys, c4, c6, field, value):
+    cert_path = _fresh_certificate(tmp_path, capsys, c4, c6)
+    doc = json.loads(cert_path.read_text())
+    doc[field] = value
+    cert_path.write_text(json.dumps(doc))
+    code = main(["validate", str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{field} must be" in captured.err.replace("'", "")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

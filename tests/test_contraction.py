@@ -1,0 +1,250 @@
+"""The compiled contraction core: oracle equivalence, step shapes, memory, cost guard."""
+
+from __future__ import annotations
+
+import json
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphnorms import (
+    Decoration,
+    Graph,
+    StepKernel,
+    complete,
+    complete_bipartite,
+    cycle,
+    decorated_density,
+    decorated_density_bruteforce,
+    density,
+    density_bruteforce,
+    density_many,
+    elimination_plan,
+)
+from graphnorms.cli import main
+
+core = sys.modules["graphnorms.density"]
+
+
+def _graph(n: int, edges) -> Graph:
+    return Graph.from_edges(edges, vertex_count=n)
+
+
+K33 = complete_bipartite(3, 3)
+K33_MINUS_EDGE = _graph(6, sorted(K33.edges - {(0, 3)}))
+Q3 = _graph(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
+# Seven vertices; eliminating along this order meets the triangle pattern
+# abc,abd,acd, which has no split into two matmul sides.
+TRIANGLE_HOST = _graph(7, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6),
+                           (3, 4), (3, 6), (5, 6)])
+TRIANGLE_ORDER = (6, 4, 0, 3, 2, 1, 5)
+NAMED = [complete(4), complete_bipartite(2, 3), K33, K33_MINUS_EDGE, cycle(5), cycle(6), complete(5)]
+
+
+@st.composite
+def small_graphs(draw):
+    """Named hosts on up to 6 vertices, or a random graph on 1-6 vertices."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED))
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+def _measures(draw, parts):
+    raw = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=parts, max_size=parts)))
+    return raw / raw.sum()
+
+
+def _values(draw, parts):
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=parts * parts, max_size=parts * parts))
+    upper = np.triu(np.array(entries).reshape(parts, parts))
+    return upper + np.triu(upper, 1).T
+
+
+@st.composite
+def kernel_families(draw, count):
+    """`count` signed kernels with 1-4 parts on one shared partition."""
+    parts = draw(st.integers(1, 4))
+    measures = _measures(draw, parts)
+    return [StepKernel(measures, _values(draw, parts)) for _ in range(count)]
+
+
+def _close(value, exact, scale):
+    # Signed sums cancel, so rounding is relative to t(H, |W|), the sum of
+    # the absolute values of all terms.
+    assert abs(value - exact) <= 1e-12 * scale + 1e-300
+
+
+def _abs_scale(h, kernels):
+    if not kernels:
+        return 1.0
+    mags = {e: StepKernel(kernels[0].measures, np.abs(w.values)) for e, w in zip(h.sorted_edges, kernels)}
+    return decorated_density_bruteforce(Decoration(h, mags)) if h.edge_count else 1.0
+
+
+def _induced_width(g: Graph, order) -> int:
+    adj = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    width = 0
+    for v in order:
+        nbrs = adj.pop(v)
+        width = max(width, len(nbrs))
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+    return width
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the brute-force oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_density_and_orders_match_bruteforce(data):
+    h = data.draw(small_graphs())
+    (w,) = data.draw(kernel_families(1))
+    exact = density_bruteforce(h, w)
+    scale = _abs_scale(h, [w] * h.edge_count)
+    _close(density(h, w), exact, scale)
+    order = data.draw(st.permutations(range(h.vertex_count)))
+    _close(density(h, w, order=order), exact, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_density_many_matches_bruteforce(data):
+    h = data.draw(small_graphs())
+    kernels = data.draw(st.integers(1, 4).flatmap(kernel_families))
+    batch = density_many(h, kernels)
+    assert batch.shape == (len(kernels),)
+    for w, value in zip(kernels, batch):
+        _close(value, density_bruteforce(h, w), _abs_scale(h, [w] * h.edge_count))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decorated_density_matches_bruteforce(data):
+    h = data.draw(small_graphs().filter(lambda g: g.edge_count > 0))
+    kernels = data.draw(kernel_families(h.edge_count))
+    d = Decoration(h, dict(zip(h.sorted_edges, kernels)))
+    exact = decorated_density_bruteforce(d)
+    scale = _abs_scale(h, kernels)
+    _close(decorated_density(d), exact, scale)
+    order = data.draw(st.permutations(range(h.vertex_count)))
+    _close(decorated_density(d, order=order), exact, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_step_output_exceeds_the_width(data):
+    h = data.draw(small_graphs())
+    order = tuple(data.draw(st.permutations(range(h.vertex_count))))
+    width = max(_induced_width(h, order), 2)  # edge arrays are parts^2 already
+    for batched in (False, True):
+        program = core._program(h, order, batched)
+        assert program.largest_output(7, 5) <= 7**width * (5 if batched else 1)
+
+
+@pytest.mark.parametrize("host,order", [(Q3, None), (TRIANGLE_HOST, TRIANGLE_ORDER)])
+def test_triangle_pattern_steps_match_bruteforce(host, order):
+    program = core._program(host, order, False)
+    assert any(run.__qualname__.startswith("_einsum_step") for run, _, _ in program.steps)
+    rng = np.random.default_rng(3)
+    measures = np.array([0.2, 0.3, 0.5])
+    kernels = []
+    for _ in host.sorted_edges:
+        upper = np.triu(rng.uniform(-1, 1, (3, 3)))
+        kernels.append(StepKernel(measures, upper + np.triu(upper, 1).T))
+    scale = _abs_scale(host, kernels)
+    w = kernels[0]
+    _close(density(host, w, order=order), density_bruteforce(host, w), _abs_scale(host, [w] * host.edge_count))
+    d = Decoration(host, dict(zip(host.sorted_edges, kernels)))
+    _close(decorated_density(d, order=order), decorated_density_bruteforce(d), scale)
+    for k, value in zip(kernels[:4], density_many(host, kernels[:4])):
+        _close(value, density_bruteforce(host, k), _abs_scale(host, [k] * host.edge_count))
+
+
+# ---------------------------------------------------------------------------
+# Compilation is cached
+# ---------------------------------------------------------------------------
+
+def test_plans_and_programs_are_compiled_once():
+    h = _graph(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
+    program = core._program(h, None, False)
+    assert core._program(_graph(6, sorted(h.edges)), None, False) is program
+    assert elimination_plan(h) is elimination_plan(_graph(6, sorted(h.edges)))
+    assert core._program(h, None, True) is not program
+
+
+# ---------------------------------------------------------------------------
+# Memory: no parts^(width+1) intermediate
+# ---------------------------------------------------------------------------
+
+def test_q3_peak_memory_stays_within_a_few_step_outputs():
+    parts = 48
+    rng = np.random.default_rng(0)
+    measures = rng.uniform(0.5, 1.5, parts)
+    upper = np.triu(rng.uniform(-0.5, 1.0, (parts, parts)))
+    w = StepKernel(measures / measures.sum(), upper + np.triu(upper, 1).T)
+    assert elimination_plan(Q3).width == 3
+    density(Q3, w)  # compile outside the measurement
+    tracemalloc.start()
+    try:
+        density(Q3, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one parts^4 float64 array alone would be 6 times this bound
+    assert peak < 8 * parts**3 * 8
+
+
+# ---------------------------------------------------------------------------
+# Cost guard
+# ---------------------------------------------------------------------------
+
+def _kernel(parts: int) -> StepKernel:
+    return StepKernel(np.full(parts, 1.0 / parts), np.full((parts, parts), 0.5))
+
+
+def test_cost_guard_rejects_before_allocating():
+    w = _kernel(128)  # K8 has width 7: a 128^7-element step
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            density(complete(8), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="limit"):
+        density(complete(8), w, order=range(8))
+    with pytest.raises(ValueError, match="limit"):
+        decorated_density(Decoration.uniform(complete(8), w))
+
+
+def test_cost_guard_counts_the_batch():
+    parts, batch = 32, 1025  # one width-3 step of 32^3 values fits, 1025 of them do not
+    w = _kernel(parts)
+    assert parts**3 <= core.CONTRACTION_LIMIT < parts**3 * batch
+    density(complete(4), w)
+    with pytest.raises(ValueError, match="limit"):
+        density_many(complete(4), [w] * batch)
+
+
+def test_cost_guard_exits_two_from_the_cli(tmp_path, capsys):
+    graph = tmp_path / "k8.txt"
+    graph.write_text("\n".join(f"{u} {v}" for u, v in complete(8).sorted_edges) + "\n")
+    kernel = tmp_path / "w.json"
+    w = _kernel(128)
+    kernel.write_text(json.dumps({"measures": w.measures.tolist(), "values": w.values.tolist()}))
+    assert main(["density", str(graph), str(kernel)]) == 2
+    assert "limit" in capsys.readouterr().err

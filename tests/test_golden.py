@@ -5,9 +5,9 @@ could silently change every seeded number; these files pin the numbers.
 A golden file changes only in a change that says why.  Large JSON outputs
 (witness kernels embedded) are stored gzip-compressed.
 
-To (re)capture every file from the current code:
+To (re)capture every file from the current code, or only the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _MODULI_GRID = ["--eps-grid", "0.25,0.5,0.75", "--n-grid", "16,64", "--seeds", "0,5"]
 
-# file name -> argv (graph files are relative to GOLDEN)
+# file name -> argv (graph and kernel files are relative to GOLDEN)
 CASES: dict[str, list[str]] = {}
 for _graph in ("c4", "k23"):
     for _kind in ("convexity", "smoothness"):
@@ -36,10 +36,12 @@ for _graph in ("c4", "k23"):
             "moduli", f"{_graph}.txt", "--kind", _kind, *_MODULI_GRID, "--format", "json", "--witnesses",
         ]
 CASES["check-k23-weak.json"] = ["check", "k23.txt", "--mode", "weak", "--budget", "1000", "--seed", "0"]
+for _graph in ("c6", "k4", "k33"):
+    CASES[f"density-{_graph}.txt"] = ["density", f"{_graph}.txt", "kernel5.json"]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
-    argv = [str(GOLDEN / argv[1]) if i == 1 else a for i, a in enumerate(argv)]
+    argv = [str(GOLDEN / a) if a.endswith((".txt", ".json")) else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -75,8 +77,12 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
-    for _name, _argv in sorted(CASES.items()):
-        _code, _out = _run(_argv)
+    _names = sys.argv[1:] or sorted(CASES)
+    _unknown = [n for n in _names if n not in CASES]
+    if _unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(_unknown)}")
+    for _name in _names:
+        _code, _out = _run(CASES[_name])
         if _code != 0:
             sys.exit(f"{_name}: exit code {_code}")
         _write(_name, _out)
