@@ -34,11 +34,22 @@ class InputError(Exception):
     pass
 
 
-def _load_graph(path: str) -> Graph:
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from None
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read(path, what))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _load_graph(path: str) -> Graph:
+    text = _read(path, "graph")
     try:
         return parse_edge_list(text)
     except GraphParseError as exc:
@@ -46,32 +57,19 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_kernel(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read kernel file {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    obj = _read_json(path, "kernel")
     try:
         return kernel_from_json(obj)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _parse_float_grid(text: str, flag: str) -> list[float]:
+def _parse_grid(text: str, flag: str, kind: type) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InputError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_int_grid(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        noun = "numbers" if kind is float else "integers"
+        raise InputError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -112,9 +110,9 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     if h.edge_count == 0:
         raise InputError("graph has no edges; norms are undefined")
-    eps_grid = _parse_float_grid(args.eps_grid, "--eps-grid")
-    n_grid = _parse_int_grid(args.n_grid, "--n-grid")
-    seeds = _parse_int_grid(args.seeds, "--seeds")
+    eps_grid = _parse_grid(args.eps_grid, "--eps-grid", float)
+    n_grid = _parse_grid(args.n_grid, "--n-grid", int)
+    seeds = _parse_grid(args.seeds, "--seeds", int)
     estimates = modulus_scan(h, args.kind, eps_grid, n_grid, seeds)
     if args.format == "csv":
         sys.stdout.write(estimates_to_csv(estimates))
@@ -125,14 +123,7 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.certificate).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read certificate file {args.certificate}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.certificate}: invalid JSON ({exc})") from None
+    obj = _read_json(args.certificate, "certificate")
     try:
         cert = certificate_from_json(obj)
     except (ValueError, KeyError, TypeError, IndexError) as exc:

@@ -459,24 +459,9 @@ def _brute_guard(parts: int, vertices: int) -> None:
 
 def density_bruteforce(h: Graph, w: StepKernel) -> float:
     """Direct sum of measure-weighted products over all part assignments."""
-    k = w.part_count
-    _brute_guard(k, h.vertex_count)
-    meas = w.measures.tolist()
-    vals = w.values.tolist()
-    edges = h.sorted_edges
-
-    def terms():
-        for assign in product(range(k), repeat=h.vertex_count):
-            t = 1.0
-            for p in assign:
-                t *= meas[p]
-            for u, v in edges:
-                t *= vals[assign[u]][assign[v]]
-            yield t
-
-    if h.vertex_count == 0:
+    if h.edge_count == 0:
         return 1.0
-    return math.fsum(terms())
+    return decorated_density_bruteforce(Decoration.uniform(h, w))
 
 
 def decorated_density_bruteforce(d: Decoration) -> float:

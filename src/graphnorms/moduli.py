@@ -53,12 +53,9 @@ class ModulusEstimate:
 
     def revalidate(self) -> float:
         """Recompute the witness value from the stored kernels."""
-        x, y = self.witnesses
         if self.kind == CONVEXITY:
-            return 1.0 - norm_rh(self.graph, combine(0.5, x, 0.5, y))
-        plus = norm_rh(self.graph, combine(1.0, x, self.epsilon, y))
-        minus = norm_rh(self.graph, combine(1.0, x, -self.epsilon, y))
-        return 0.5 * (plus + minus - 2.0)
+            return _midpoint_deficiency(self.graph, *self.witnesses)
+        return _smoothness_value(self.graph, *self.witnesses, self.epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +68,18 @@ class ExperimentRecord:
     rows: tuple[dict, ...]
     tolerance: float
     passed: bool
+
+
+def _midpoint_deficiency(h: Graph, x: StepKernel, y: StepKernel) -> float:
+    """1 - ||(x + y)/2||, the convexity witness value."""
+    return 1.0 - norm_rh(h, combine(0.5, x, 0.5, y))
+
+
+def _smoothness_value(h: Graph, x: StepKernel, y: StepKernel, eps: float) -> float:
+    """(||x + eps y|| + ||x - eps y|| - 2) / 2, the smoothness witness value."""
+    plus = norm_rh(h, combine(1.0, x, eps, y))
+    minus = norm_rh(h, combine(1.0, x, -eps, y))
+    return 0.5 * (plus + minus - 2.0)
 
 
 def _sample_normalized(h: Graph, n: int, seed: int, role: str) -> tuple[StepKernel, StepKernel]:
@@ -111,14 +120,9 @@ def _witnesses(h: Graph, kind: str, eps_grid: Sequence[float], n: int, seed: int
     pair = (x, y)
     if kind == CONVEXITY:
         separation = norm_rh(h, combine(1.0, x, -1.0, y))
-        deficiency = 1.0 - norm_rh(h, combine(0.5, x, 0.5, y))
+        deficiency = _midpoint_deficiency(h, x, y)
         return [ModulusEstimate(h, kind, eps, n, seed, deficiency, pair, separation) for eps in eps_grid]
-    out = []
-    for eps in eps_grid:
-        plus = norm_rh(h, combine(1.0, x, eps, y))
-        minus = norm_rh(h, combine(1.0, x, -eps, y))
-        out.append(ModulusEstimate(h, kind, eps, n, seed, 0.5 * (plus + minus - 2.0), pair))
-    return out
+    return [ModulusEstimate(h, kind, eps, n, seed, _smoothness_value(h, x, y, eps), pair) for eps in eps_grid]
 
 
 def convexity_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEstimate:
@@ -233,17 +237,7 @@ def concentration_check(
         raise ValueError("need a graph with at least one edge")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    target = d.mean ** h.edge_count
-    devs = _deviations(h, n, d, trials, seed)
-    row = _row(n, devs, target)
-    return ExperimentRecord(
-        graph=h,
-        mixture=d,
-        n_grid=(n,),
-        rows=(row,),
-        tolerance=tolerance,
-        passed=row["median_dev"] <= tolerance,
-    )
+    return concentration_scan(h, d, (n,), trials, seed, tolerance)
 
 
 def concentration_scan(

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .density import Decoration, decorated_density, density, density_many
 from .graphs import (
+    Component,
     Graph,
     average_degree,
     components,
@@ -236,27 +238,38 @@ def _signed_block_family(h: Graph, seed: int, trial: int) -> Decoration:
     return Decoration(h, kernels)
 
 
-def _structured_component_decorations(h: Graph) -> list[Decoration]:
-    """For disconnected hosts with equal component average degrees: decorate one
-    component with the dyadic diagonal kernel for coefficients (1, 1), constant 1
-    elsewhere.  Exact arithmetic when the shared average degree is 2."""
-    comps = [c for c in components(h) if not c.is_singleton]
-    if len(comps) < 2:
-        return []
-    degrees = {average_degree(c.graph) for c in comps}
-    if len(degrees) != 1:
-        return []
-    gamma = Fraction(comps[0].graph.vertex_count, comps[0].graph.edge_count)
+def _component_decoration(h: Graph, comp: Component) -> Decoration:
+    """The dyadic diagonal kernel for coefficients (1, 1) on the edges of one
+    component of h, constant 1 elsewhere.  Exact arithmetic when the
+    component's average degree is 2."""
+    gamma = Fraction(comp.graph.vertex_count, comp.graph.edge_count)
     kernel = absolute(special_kernel(float(gamma), (1.0, 1.0)))
     ones = ones_like(kernel)
-    out = []
-    for comp in comps:
-        marked = {
-            (comp.vertices[a], comp.vertices[b]) for a, b in comp.graph.sorted_edges
-        }
-        kernels = {e: (kernel if e in marked else ones) for e in h.sorted_edges}
-        out.append(Decoration(h, kernels))
-    return out
+    marked = {(comp.vertices[a], comp.vertices[b]) for a, b in comp.graph.sorted_edges}
+    return Decoration(h, {e: (kernel if e in marked else ones) for e in h.sorted_edges})
+
+
+def _structured_component_decorations(h: Graph) -> list[Decoration]:
+    """For disconnected hosts with equal component average degrees: one
+    _component_decoration per component."""
+    comps = [c for c in components(h) if not c.is_singleton]
+    if len(comps) < 2 or len({average_degree(c.graph) for c in comps}) != 1:
+        return []
+    return [_component_decoration(h, comp) for comp in comps]
+
+
+# Trial t draws from family t % len(families); semi mode adds the signed families.
+_WEAK_FAMILIES = (
+    partial(_block_family, d=dirac_d1()),
+    partial(_block_family, d=_VALUE_GRID),
+    _indicator_family,
+    _diagonal_family,
+    partial(_rank_one_family, signed=False),
+)
+_FAMILIES = {
+    "weak": _WEAK_FAMILIES,
+    "semi": _WEAK_FAMILIES + (_signed_block_family, partial(_rank_one_family, signed=True)),
+}
 
 
 def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> Certificate | None:
@@ -274,38 +287,9 @@ def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> C
         raise ValueError("need a graph with at least one edge")
 
     structured = _structured_component_decorations(h)
-
-    def decoration_for(trial: int) -> Decoration:
-        if trial < len(structured):
-            return structured[trial]
-        if mode == "weak":
-            family = trial % 5
-            if family == 0:
-                return _block_family(h, seed, trial, dirac_d1())
-            if family == 1:
-                return _block_family(h, seed, trial, _VALUE_GRID)
-            if family == 2:
-                return _indicator_family(h, seed, trial)
-            if family == 3:
-                return _diagonal_family(h, seed, trial)
-            return _rank_one_family(h, seed, trial, signed=False)
-        family = trial % 7
-        if family == 0:
-            return _block_family(h, seed, trial, dirac_d1())
-        if family == 1:
-            return _block_family(h, seed, trial, _VALUE_GRID)
-        if family == 2:
-            return _indicator_family(h, seed, trial)
-        if family == 3:
-            return _diagonal_family(h, seed, trial)
-        if family == 4:
-            return _rank_one_family(h, seed, trial, signed=False)
-        if family == 5:
-            return _signed_block_family(h, seed, trial)
-        return _rank_one_family(h, seed, trial, signed=True)
-
+    families = _FAMILIES[mode]
     for trial in range(trials):
-        d = decoration_for(trial)
+        d = structured[trial] if trial < len(structured) else families[trial % len(families)](h, seed, trial)
         report = holder_check(h, d, mode)
         if report.ratio > 1.0 + SEARCH_TOL:
             return Certificate(
@@ -324,16 +308,35 @@ def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> C
 # Structural necessary conditions
 # ---------------------------------------------------------------------------
 
-def _half_square_certificate(h: Graph, f: Graph, mode: str, note: str) -> Certificate:
+def _violates(lhs: float, rhs: float, margin: float) -> bool:
+    """Violation test for minting structural certificates (at CHECK_TOL) and
+    for validating every certificate (at the caller's margin)."""
+    if rhs > 0.0:
+        return lhs > rhs * (1.0 + margin)
+    return lhs > 1e-12
+
+
+def _domination_sides(f: Graph, h: Graph, u: StepKernel) -> tuple[float, float]:
+    """Both sides of t(f, u) <= t(h, u)^(e(f)/e(h)), which holds for every
+    subgraph f of a weakly norming h and every non-negative u."""
+    return density(f, u), density(h, u) ** (f.edge_count / h.edge_count)
+
+
+def _densest_component_sides(g: Graph, u: StepKernel) -> tuple[float, float]:
+    """_domination_sides for the component of g with the largest density under u."""
+    best = max((c.graph for c in components(g)), key=lambda c: density(c, u))
+    return _domination_sides(best, g, u)
+
+
+def _half_square_certificate(h: Graph, f: Graph, note: str) -> Certificate:
     """Witness for a subgraph f of h with e(f)/v(f) > e(h)/v(h): under the
     half-square kernel, t(f, U) = 2^-v(f) beats t(h, U)^(e(f)/e(h))."""
     u = half_square_kernel()
-    lhs = density(f, u)
-    rhs = density(h, u) ** (f.edge_count / h.edge_count)
+    lhs, rhs = _domination_sides(f, h, u)
     return Certificate(
         kind=AVG_DEGREE_VIOLATION,
         graph=h,
-        mode=mode,
+        mode="weak",
         lhs=lhs,
         rhs=rhs,
         kernel=u,
@@ -363,7 +366,6 @@ def subgraph_avg_degree_check(
             cert = _half_square_certificate(
                 h,
                 f,
-                "weak",
                 f"subgraph with {f.edge_count} edges on {f.vertex_count} vertices has "
                 f"average degree {average_degree(f)} > {host_degree}",
             )
@@ -399,11 +401,7 @@ def edge_mismatch_certificate(h: Graph) -> Certificate:
     if edge_counts[0] == edge_counts[-1]:
         raise ValueError("component edge counts are all equal; no mismatch to certify")
     smallest = min(comps, key=lambda c: (c.graph.edge_count, c.vertices))
-    gamma = Fraction(smallest.graph.vertex_count, smallest.graph.edge_count)
-    kernel = absolute(special_kernel(float(gamma), (1.0, 1.0)))
-    ones = ones_like(kernel)
-    marked = {(smallest.vertices[a], smallest.vertices[b]) for a, b in smallest.graph.sorted_edges}
-    decoration = Decoration(h, {e: (kernel if e in marked else ones) for e in h.sorted_edges})
+    decoration = _component_decoration(h, smallest)
     report = holder_check(h, decoration, "weak")
     return Certificate(
         kind=EDGE_COUNT_MISMATCH,
@@ -475,7 +473,6 @@ def component_analysis(h: Graph) -> tuple[list[CheckResult], list[Certificate]]:
             _half_square_certificate(
                 g,
                 dense.graph,
-                "weak",
                 f"component with average degree {average_degree(dense.graph)} exceeds "
                 f"the host average {average_degree(g)}",
             )
@@ -520,11 +517,8 @@ def _nonisomorphism_certificate(g: Graph, f1: Graph, f2: Graph) -> Certificate:
     if f1.edge_count == f2.edge_count:
         kernel = distinguishing_kernel_search(f1, f2, trials=200, seed=derive_seed("noniso", g.vertex_count))
         if kernel is not None:
-            comps = [c.graph for c in components(g)]
-            best = max(comps, key=lambda c: density(c, kernel))
-            lhs = density(best, kernel)
-            rhs = density(g, kernel) ** (best.edge_count / g.edge_count)
-            if not lhs > rhs * (1.0 + CHECK_TOL):
+            lhs, rhs = _densest_component_sides(g, kernel)
+            if not _violates(lhs, rhs, CHECK_TOL):
                 kernel, lhs, rhs = None, None, None
     return Certificate(
         kind=COMPONENT_NONISOMORPHISM,
@@ -551,9 +545,8 @@ def domination_check(f: Graph, h: Graph, w: StepKernel) -> DominationReport:
         raise ValueError("need a host graph with at least one edge")
     if find_subgraph_embedding(f, h) is None:
         raise ValueError("f does not embed into h as a subgraph")
-    lhs = density(f, w)
-    rhs = density(h, w) ** (f.edge_count / h.edge_count)
-    violated = lhs > rhs * (1.0 + CHECK_TOL)
+    lhs, rhs = _domination_sides(f, h, w)
+    violated = _violates(lhs, rhs, CHECK_TOL)
     cert = None
     if violated:
         cert = Certificate(
@@ -686,10 +679,42 @@ def _consistent(stored: float, recomputed: float) -> bool:
     return abs(stored - recomputed) <= CHECK_TOL * max(1.0, abs(stored), abs(recomputed))
 
 
-def _violates(lhs: float, rhs: float, margin: float) -> bool:
-    if rhs > 0.0:
-        return lhs > rhs * (1.0 + margin)
-    return lhs > 1e-12
+def _holder_sides(cert: Certificate) -> tuple[float, float] | str:
+    if cert.decoration is None or cert.lhs is None or cert.rhs is None:
+        return "certificate is missing its decoration payload"
+    report = holder_check(cert.graph, cert.decoration, cert.mode)
+    return report.lhs, report.rhs
+
+
+def _subgraph_sides(cert: Certificate) -> tuple[float, float] | str:
+    if cert.kernel is None or cert.subgraph is None or cert.lhs is None or cert.rhs is None:
+        return "certificate is missing its kernel payload"
+    if find_subgraph_embedding(cert.subgraph, cert.graph) is None:
+        return "stored subgraph does not embed into the host"
+    return _domination_sides(cert.subgraph, cert.graph, cert.kernel)
+
+
+def _component_sides(cert: Certificate) -> tuple[float, float] | str | None:
+    if cert.pair is None:
+        return "certificate is missing its component pair"
+    if find_isomorphism(*cert.pair) is not None:
+        return "stored components are isomorphic after all"
+    if cert.kernel is None:
+        return None  # non-isomorphic components refute on their own
+    if cert.lhs is None or cert.rhs is None:
+        return "kernel attached but inequality sides missing"
+    return _densest_component_sides(cert.graph, cert.kernel)
+
+
+# certificate kind -> recomputed (lhs, rhs), an error for a bad payload, or
+# None when the payload carries no inequality
+_SIDES = {
+    HOLDER_VIOLATION: _holder_sides,
+    EDGE_COUNT_MISMATCH: _holder_sides,
+    AVG_DEGREE_VIOLATION: _subgraph_sides,
+    DENSITY_DOMINATION_VIOLATION: _subgraph_sides,
+    COMPONENT_NONISOMORPHISM: _component_sides,
+}
 
 
 def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[bool, str]:
@@ -698,52 +723,20 @@ def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[
     Checks both that the stored inequality sides reproduce (to 1e-9
     relative) and that the violation clears the given margin.
     """
-    if cert.kind in (HOLDER_VIOLATION, EDGE_COUNT_MISMATCH):
-        if cert.decoration is None or cert.lhs is None or cert.rhs is None:
-            return False, "certificate is missing its decoration payload"
-        report = holder_check(cert.graph, cert.decoration, cert.mode)
-        if not (_consistent(cert.lhs, report.lhs) and _consistent(cert.rhs, report.rhs)):
-            return False, (
-                f"stored sides ({cert.lhs!r}, {cert.rhs!r}) do not reproduce "
-                f"({report.lhs!r}, {report.rhs!r})"
-            )
-        if not _violates(report.lhs, report.rhs, margin):
-            return False, f"inequality not violated at margin {margin}"
-        return True, f"violation reproduced: {report.lhs!r} > {report.rhs!r}"
-
-    if cert.kind in (AVG_DEGREE_VIOLATION, DENSITY_DOMINATION_VIOLATION):
-        if cert.kernel is None or cert.subgraph is None or cert.lhs is None or cert.rhs is None:
-            return False, "certificate is missing its kernel payload"
-        if find_subgraph_embedding(cert.subgraph, cert.graph) is None:
-            return False, "stored subgraph does not embed into the host"
-        lhs = density(cert.subgraph, cert.kernel)
-        rhs = density(cert.graph, cert.kernel) ** (cert.subgraph.edge_count / cert.graph.edge_count)
+    if cert.kind not in _SIDES:
+        return False, f"unknown certificate kind {cert.kind!r}"
+    sides = _SIDES[cert.kind](cert)
+    if isinstance(sides, str):
+        return False, sides
+    if sides is not None:
+        lhs, rhs = sides
         if not (_consistent(cert.lhs, lhs) and _consistent(cert.rhs, rhs)):
-            return False, f"stored sides do not reproduce ({lhs!r}, {rhs!r})"
+            return False, f"stored sides ({cert.lhs!r}, {cert.rhs!r}) do not reproduce ({lhs!r}, {rhs!r})"
         if not _violates(lhs, rhs, margin):
             return False, f"inequality not violated at margin {margin}"
-        return True, f"violation reproduced: {lhs!r} > {rhs!r}"
-
     if cert.kind == COMPONENT_NONISOMORPHISM:
-        if cert.pair is None:
-            return False, "certificate is missing its component pair"
-        f1, f2 = cert.pair
-        if find_isomorphism(f1, f2) is not None:
-            return False, "stored components are isomorphic after all"
-        if cert.kernel is not None:
-            if cert.lhs is None or cert.rhs is None:
-                return False, "kernel attached but inequality sides missing"
-            comps = [c.graph for c in components(cert.graph)]
-            lhs = max(density(c, cert.kernel) for c in comps)
-            best = max(comps, key=lambda c: density(c, cert.kernel))
-            rhs = density(cert.graph, cert.kernel) ** (best.edge_count / cert.graph.edge_count)
-            if not (_consistent(cert.lhs, lhs) and _consistent(cert.rhs, rhs)):
-                return False, f"stored sides do not reproduce ({lhs!r}, {rhs!r})"
-            if not _violates(lhs, rhs, margin):
-                return False, f"inequality not violated at margin {margin}"
         return True, "components re-verified non-isomorphic"
-
-    return False, f"unknown certificate kind {cert.kind!r}"
+    return True, f"violation reproduced: {lhs!r} > {rhs!r}"
 
 
 def decoration_to_json(d: Decoration) -> dict:

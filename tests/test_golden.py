@@ -3,7 +3,10 @@
 The determinism tests elsewhere compare a run with itself, so a refactor
 could silently change every seeded number; these files pin the numbers.
 A golden file changes only in a change that says why.  Large JSON outputs
-(witness kernels embedded) are stored gzip-compressed.
+(witness kernels embedded) are stored gzip-compressed.  The cert-*.json
+inputs are certificates taken from the check outputs, plus one domination
+certificate (C4 in C4+C6 under the dyadic (1, 1) kernel); refuted checks
+and rejected certificates exit 3, so every case carries its exit code.
 
 To (re)capture every file from the current code, or only the named ones:
 
@@ -27,17 +30,26 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _MODULI_GRID = ["--eps-grid", "0.25,0.5,0.75", "--n-grid", "16,64", "--seeds", "0,5"]
 
-# file name -> argv (graph and kernel files are relative to GOLDEN)
-CASES: dict[str, list[str]] = {}
+# file name -> (exit code, argv); graph, kernel and certificate files are relative to GOLDEN
+CASES: dict[str, tuple[int, list[str]]] = {}
 for _graph in ("c4", "k23"):
     for _kind in ("convexity", "smoothness"):
-        CASES[f"moduli-{_graph}-{_kind}.csv"] = ["moduli", f"{_graph}.txt", "--kind", _kind, *_MODULI_GRID]
-        CASES[f"moduli-{_graph}-{_kind}.json.gz"] = [
+        CASES[f"moduli-{_graph}-{_kind}.csv"] = (0, ["moduli", f"{_graph}.txt", "--kind", _kind, *_MODULI_GRID])
+        CASES[f"moduli-{_graph}-{_kind}.json.gz"] = (0, [
             "moduli", f"{_graph}.txt", "--kind", _kind, *_MODULI_GRID, "--format", "json", "--witnesses",
-        ]
-CASES["check-k23-weak.json"] = ["check", "k23.txt", "--mode", "weak", "--budget", "1000", "--seed", "0"]
+        ])
+CASES["check-k23-weak.json"] = (0, ["check", "k23.txt", "--mode", "weak", "--budget", "1000", "--seed", "0"])
+# refuted hosts, together covering every certificate kind: case -> (mode, certificates in the verdict)
+_REFUTED = {"k4k3-weak": ("weak", 4), "c4c6-weak": ("weak", 3), "p4k13-weak": ("weak", 2), "k23-semi": ("semi", 1)}
+_REJECTED = {"k4k3-weak-3"}  # a Hoelder hit with rhs 0 and lhs below the 1e-12 floor of validation
+for _case, (_mode, _certs) in _REFUTED.items():
+    _graph = _case.split("-")[0]
+    CASES[f"check-{_case}.json"] = (3, ["check", f"{_graph}.txt", "--mode", _mode, "--budget", "300", "--seed", "0"])
+    for _cert in (f"{_case}-{_i}" for _i in range(_certs)):
+        CASES[f"validate-{_cert}.txt"] = (3 if _cert in _REJECTED else 0, ["validate", f"cert-{_cert}.json"])
+CASES["validate-c4c6-domination.txt"] = (0, ["validate", "cert-c4c6-domination.json"])
 for _graph in ("c6", "k4", "k33"):
-    CASES[f"density-{_graph}.txt"] = ["density", f"{_graph}.txt", "kernel5.json"]
+    CASES[f"density-{_graph}.txt"] = (0, ["density", f"{_graph}.txt", "kernel5.json"])
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -66,8 +78,9 @@ def _write(name: str, text: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
-    code, out = _run(CASES[name])
-    assert code == 0
+    expected_code, argv = CASES[name]
+    code, out = _run(argv)
+    assert code == expected_code
     expected = _read(name)
     if out != expected:
         diff = difflib.unified_diff(
@@ -82,8 +95,9 @@ if __name__ == "__main__":
     if _unknown:
         sys.exit(f"unknown golden case(s): {', '.join(_unknown)}")
     for _name in _names:
-        _code, _out = _run(CASES[_name])
-        if _code != 0:
-            sys.exit(f"{_name}: exit code {_code}")
+        _expected, _argv = CASES[_name]
+        _code, _out = _run(_argv)
+        if _code != _expected:
+            sys.exit(f"{_name}: exit code {_code}, expected {_expected}")
         _write(_name, _out)
         print(f"wrote {_name} ({len(_out)} chars)")

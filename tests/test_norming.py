@@ -12,6 +12,7 @@ import pytest
 from graphnorms import (
     Decoration,
     Graph,
+    StepKernel,
     absolute,
     certificate_from_json,
     certificate_to_json,
@@ -279,6 +280,17 @@ def test_domination_violated_for_mixed_cycles(c4, c6):
     assert report.certificate is not None
     ok, detail = validate_certificate(report.certificate)
     assert ok, detail
+
+
+def test_domination_mints_only_what_validates(k3):
+    # t(K3, W) = 0 for a bipartite W; lhs = 5e-13 is below the absolute
+    # floor that validation demands when the bound is 0, so nothing is minted.
+    w = StepKernel(np.array([0.5, 0.5]), np.array([[0.0, 1e-12], [1e-12, 0.0]]))
+    report = domination_check(path(2), k3, w)
+    assert report.lhs == pytest.approx(5e-13, rel=1e-12)
+    assert report.rhs == 0.0
+    assert not report.violated
+    assert report.certificate is None
 
 
 def test_domination_requires_embedding(c4, k3):
