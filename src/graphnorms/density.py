@@ -405,6 +405,15 @@ def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
     return np.ones(len(kernels)) * _contract(h, base.measures, lambda e: stack, batch=len(kernels))
 
 
+def max_batch(h: Graph, parts: int) -> int:
+    """Most kernels of `parts` parts that one density_many(h, ...) call can
+    batch without a step over CONTRACTION_LIMIT.  At least 1, so a graph too
+    wide even for one kernel still meets the guard's error."""
+    programs = [_program(c.graph, None, True) for c in components(h) if c.graph.edge_count]
+    per_kernel = max((parts**p.widest_batched for p in programs if p.widest_batched >= 0), default=1)
+    return max(1, CONTRACTION_LIMIT // per_kernel)
+
+
 @dataclass(frozen=True, eq=False)
 class Decoration:
     """One step kernel per edge of a host graph, all on a shared partition."""

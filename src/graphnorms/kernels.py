@@ -160,6 +160,11 @@ class DiracMixture:
         probability sum exceeds u."""
         return self._values[bisect_right(self._cumulative, u)]
 
+    def pick_many(self, u: np.ndarray) -> np.ndarray:
+        """pick applied to every entry of the quantile array u, in one
+        vectorized search over the same running sums."""
+        return np.asarray(self._values)[np.searchsorted(self._cumulative, u, side="right")]
+
 
 def dirac_d1() -> DiracMixture:
     """Fair coin on {0, 1}."""

@@ -8,6 +8,13 @@ a scaled second sample produces lower-bound witnesses for the modulus of
 smoothness approaching eps/2.  Neither modulus is estimated beyond these
 one-sided witnesses.
 
+A witness sample is consumed whole, so all n(n+1)/2 of its block values
+come from one SHAKE-256 stream keyed by (role, seed, attempt, n) instead
+of one sha256 per block, which made hashing most of a scan's time.  The
+concentration experiments keep sample_block_random and its per-block
+keys: their 20-trial acceptance check is decided by the particular
+samples.
+
 Also here: concentration experiments for block-random densities and the
 exact sequence-space embedding identity for connected graphs.
 """
@@ -18,6 +25,8 @@ import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Sequence
+
+import numpy as np
 
 from .density import density, norm_rh
 from .graphs import Graph, disjoint_union, is_connected
@@ -30,12 +39,13 @@ from .kernels import (
     scale,
     special_kernel,
 )
-from .seeding import derive_seed
+from .seeding import derive_seed, key_uniforms
 
 CONVEXITY = "convexity-upper-bound"
 SMOOTHNESS = "smoothness-lower-bound"
 
 _MAX_RESAMPLES = 8
+_COIN = dirac_d1()
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +92,29 @@ def _smoothness_value(h: Graph, x: StepKernel, y: StepKernel, eps: float) -> flo
     return 0.5 * (plus + minus - 2.0)
 
 
+def _witness_sample(n: int, seed: int, role: str, attempt: int) -> StepKernel:
+    """n equal parts with i.i.d. fair-coin {0,1} block values.
+
+    Block (i, j), i <= j, takes the k-th uniform of the stream keyed by
+    (role, seed, attempt, n), k counting the upper triangle row by row, and
+    picks its value by the rule of DiracMixture.pick.
+    """
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    values = np.zeros((n, n))
+    values[upper] = _COIN.pick_many(key_uniforms(f"moduli/{role}/{seed}/{attempt}/{n}", n * (n + 1) // 2))
+    return StepKernel(np.full(n, 1.0 / n), np.where(upper, values, values.T))
+
+
 def _sample_normalized(h: Graph, n: int, seed: int, role: str) -> tuple[StepKernel, StepKernel]:
     """A block-random {0,1} sample and its rescaling to unit absolute norm.
 
     The normalization divides by the exactly computed norm (not its
     large-n limit 1/2), so the rescaled kernel has norm 1 up to one
-    rounding.  Resamples with derived seeds if the norm vanishes.
+    rounding.  Resamples with the next attempt's stream if the norm
+    vanishes.
     """
     for attempt in range(_MAX_RESAMPLES):
-        u = sample_block_random(n, dirac_d1(), derive_seed("moduli", role, seed, attempt))
+        u = _witness_sample(n, seed, role, attempt)
         nu = norm_rh(h, u)
         if nu > 0.0:
             return u, scale(u, 1.0 / nu)

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .density import Decoration, decorated_density, density, density_many
+from .density import Decoration, decorated_density, density, density_many, max_batch
 from .graphs import (
     Component,
     Graph,
@@ -158,7 +158,11 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
         for e, w in sorted(d.kernels.items()):
             if not is_nonnegative(w):
                 raise ValueError(f"weak mode requires non-negative kernels; edge {e} is signed")
-    terms = density_many(h, [d.kernels[e] for e in h.sorted_edges])
+    # one batched call per slice that fits the contraction limit; one in all
+    # but very wide hosts
+    kernels = [d.kernels[e] for e in h.sorted_edges]
+    step = max_batch(h, kernels[0].part_count)
+    terms = np.concatenate([density_many(h, kernels[i:i + step]) for i in range(0, m, step)])
     try:
         lhs = decorated_density(d) ** m
     except OverflowError:
@@ -358,11 +362,12 @@ def subgraph_avg_degree_check(
         raise ValueError("need a graph with at least one edge")
     if min(h.degrees()) == 0:
         raise ValueError("strip isolated vertices before the subgraph check")
-    host_degree = average_degree(h)
     count = 0
     for f in enumerate_subgraphs(h, max_subgraph_vertices):
         count += 1
-        if average_degree(f) > host_degree:
+        # e(f)/v(f) > e(h)/v(h) in integers; Fractions only for the evidence text
+        if f.edge_count * h.vertex_count > h.edge_count * f.vertex_count:
+            host_degree = average_degree(h)
             cert = _half_square_certificate(
                 h,
                 f,
@@ -699,6 +704,9 @@ def _component_sides(cert: Certificate) -> tuple[float, float] | str | None:
         return "certificate is missing its component pair"
     if find_isomorphism(*cert.pair) is not None:
         return "stored components are isomorphic after all"
+    hosted = [c.graph for c in components(cert.graph)]
+    if not all(any(find_isomorphism(f, c) is not None for c in hosted) for f in cert.pair):
+        return "stored components are not components of the host"
     if cert.kernel is None:
         return None  # non-isomorphic components refute on their own
     if cert.lhs is None or cert.rhs is None:

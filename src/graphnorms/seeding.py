@@ -3,11 +3,21 @@
 Every random quantity in the package is keyed by a master seed plus a
 few integer/str counters, so results are independent of iteration order
 and identical across serial and parallel execution.
+
+Two keyed sources serve different draws.  A draw that must be addressable
+on its own, such as one block of a Hoelder-search decoration, is one
+sha256 of its key (derive_seed, counter_uniform, key_uniform): certificates
+and the check outputs depend on those exact values.  A draw consumed
+whole, such as a moduli witness sample, takes all its uniforms from one
+SHAKE-256 stream (key_uniforms), which costs one hash call instead of one
+per block.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 
 def _key_seed(key: str) -> int:
@@ -29,3 +39,14 @@ def key_uniform(key: str) -> float:
     them: key_uniform("a/1/2") == counter_uniform("a", 1, 2).  Lets a hot
     loop build its keys with one f-string each."""
     return _key_seed(key) / 2.0**64
+
+
+def key_uniforms(key: str, count: int) -> np.ndarray:
+    """count uniforms in [0, 1) read from one SHAKE-256 stream keyed by key.
+
+    Uniform k is the top 53 bits of the k-th big-endian 8-byte word of the
+    stream times 2^-53, so it is exact in float64 and at most 1 - 2^-53.
+    A longer count extends the stream: the first k values never change.
+    """
+    words = np.frombuffer(hashlib.shake_256(key.encode("utf-8")).digest(8 * count), dtype=">u8")
+    return (words >> np.uint64(11)) * 2.0**-53

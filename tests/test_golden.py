@@ -5,8 +5,9 @@ could silently change every seeded number; these files pin the numbers.
 A golden file changes only in a change that says why.  Large JSON outputs
 (witness kernels embedded) are stored gzip-compressed.  The cert-*.json
 inputs are certificates taken from the check outputs, plus one domination
-certificate (C4 in C4+C6 under the dyadic (1, 1) kernel); refuted checks
-and rejected certificates exit 3, so every case carries its exit code.
+certificate (C4 in C4+C6 under the dyadic (1, 1) kernel) and one forged
+non-isomorphism certificate; refuted checks and rejected certificates exit
+3, so every case carries its exit code.
 
 To (re)capture every file from the current code, or only the named ones:
 
@@ -48,6 +49,13 @@ for _case, (_mode, _certs) in _REFUTED.items():
     for _cert in (f"{_case}-{_i}" for _i in range(_certs)):
         CASES[f"validate-{_cert}.txt"] = (3 if _cert in _REJECTED else 0, ["validate", f"cert-{_cert}.json"])
 CASES["validate-c4c6-domination.txt"] = (0, ["validate", "cert-c4c6-domination.json"])
+# cert-c4c6-weak-1 (pair C4, C6) with its host replaced by C4+C4: the pair is
+# not the host's components, so it is rejected
+CASES["validate-c4c6-forged.txt"] = (3, ["validate", "cert-c4c6-forged.json"])
+# the largest part count the moduli benchmark scans
+CASES["moduli-c4-smoothness-n128.csv"] = (0, [
+    "moduli", "c4.txt", "--kind", "smoothness", "--eps-grid", "0.25,0.5,0.75", "--n-grid", "128", "--seeds", "0,5",
+])
 for _graph in ("c6", "k4", "k33"):
     CASES[f"density-{_graph}.txt"] = (0, ["density", f"{_graph}.txt", "kernel5.json"])
 

@@ -213,15 +213,28 @@ def test_sampling_matches_per_block_formula(n, seed, d):
     assert np.array_equal(w.measures, np.full(n, 1.0 / n))
 
 
-@given(
-    # ten atoms of 0.1: the running sums end at 0.9999999999999999 < 1
-    st.sampled_from(_MIXTURES + [DiracMixture(tuple((k / 10, 0.1) for k in range(10)))]),
-    st.floats(0.0, 1.0, exclude_max=True),
-)
+# ten atoms of 0.1: the running sums end at 0.9999999999999999 < 1
+_PICK_MIXTURES = _MIXTURES + [DiracMixture(tuple((k / 10, 0.1) for k in range(10)))]
+
+
+def _boundaries(d: DiracMixture) -> list[float]:
+    return [sum(p for _, p in d.atoms[: k + 1]) for k in range(len(d.atoms))]
+
+
+@given(st.sampled_from(_PICK_MIXTURES), st.floats(0.0, 1.0, exclude_max=True))
 def test_mixture_pick_matches_linear_scan(d, u):
-    boundaries = [sum(p for _, p in d.atoms[: k + 1]) for k in range(len(d.atoms))]
-    for q in (u, *boundaries):
+    for q in (u, *_boundaries(d)):
         assert d.pick(q) == _reference_pick(d, q)
+
+
+@given(st.sampled_from(_PICK_MIXTURES), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_mixture_pick_many_matches_pick(d, us):
+    # every atom boundary, the float just below it, and the free draws
+    edges = _boundaries(d)
+    qs = np.array(us + edges + [math.nextafter(b, 0.0) for b in edges])
+    picked = d.pick_many(qs)
+    assert picked.shape == qs.shape
+    assert picked.tolist() == [d.pick(q) for q in qs.tolist()]
 
 
 def test_one_minus_sample_looks_like_sample():

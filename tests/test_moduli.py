@@ -32,8 +32,8 @@ from graphnorms import (
     star,
     subtract,
 )
-from graphnorms.moduli import CONVEXITY, graph_label
-from graphnorms.seeding import derive_seed
+from graphnorms.moduli import CONVEXITY, _witness_sample, graph_label
+from graphnorms.seeding import derive_seed, key_uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +181,31 @@ def test_deficiency_trend(c4):
 
 
 def test_tiny_block_counts_resample_zero_norms(c4):
-    # At n=2 a sampled kernel is all-zero with probability 1/8, forcing the
-    # derived-seed retry path; the witness must still come back normalized.
-    for seed in range(10):
-        est = convexity_witness(c4, 0.5, 2, seed=seed)
-        for w in est.witnesses:
-            assert norm_rh(c4, w) == pytest.approx(1.0, abs=1e-12)
+    # A sample is all-zero with probability 1/2 at n=1 and 1/8 at n=2, which
+    # forces a retry on the next attempt's stream; the witness must still
+    # come back normalized.
+    assert any(not _witness_sample(1, seed, "u1", 0).values.any() for seed in range(10))
+    for n in (1, 2):
+        for seed in range(10):
+            est = convexity_witness(c4, 0.5, n, seed=seed)
+            for w in est.witnesses:
+                assert norm_rh(c4, w) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+def test_witness_samples_are_symmetric_coin_kernels(n):
+    for seed, role, attempt in [(0, "u1", 0), (7, "u2", 0), (2**64 - 1, "u1", 3)]:
+        w = _witness_sample(n, seed, role, attempt)
+        assert np.array_equal(w.measures, np.full(n, 1.0 / n))
+        assert np.array_equal(w.values, w.values.T)
+        assert set(np.unique(w.values)) <= {0.0, 1.0}
+        # block (i, j), i <= j, takes the next uniform of the stream, row by row
+        u = iter(key_uniforms(f"moduli/{role}/{seed}/{attempt}/{n}", n * (n + 1) // 2).tolist())
+        for i in range(n):
+            for j in range(i, n):
+                assert w.values[i, j] == dirac_d1().pick(next(u))
+    big = _witness_sample(128, 0, "u1", 0).values
+    assert 0.45 < big.mean() < 0.55
 
 
 # ---------------------------------------------------------------------------

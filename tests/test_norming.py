@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from graphnorms import (
     absolute,
     certificate_from_json,
     certificate_to_json,
+    complete,
     complete_bipartite,
     component_analysis,
     constant_kernel,
@@ -27,6 +29,7 @@ from graphnorms import (
     domination_check,
     edge_mismatch_certificate,
     full_verdict,
+    graph_to_json,
     half_square_kernel,
     holder_check,
     holder_search,
@@ -40,6 +43,7 @@ from graphnorms import (
     verdict_to_json,
     dirac_d2,
 )
+from graphnorms import norming
 from graphnorms.norming import (
     AVG_DEGREE_VIOLATION,
     COMPONENT_NONISOMORPHISM,
@@ -106,6 +110,35 @@ def test_overflowing_side_never_violates(c4):
     assert report.lhs == math.inf
     assert math.isnan(report.ratio)
     assert not report.violated
+
+
+def test_holder_check_splits_a_batch_over_the_contraction_limit(monkeypatch):
+    # K11 at 4 parts needs 55 x 4^10 elements for its rhs batch, over the
+    # limit, while each density fits; the same shape here is K4 at 8 parts
+    # under a limit that fits 4 of its 6 edge kernels.
+    core = sys.modules["graphnorms.density"]
+    h, parts = complete(4), 8
+    rng = random.Random(11)
+    d = Decoration(h, {e: sample_block_random(parts, dirac_d2(), rng.randint(0, 10**9)) for e in h.sorted_edges})
+    calls = []
+
+    def counted(g, kernels):
+        calls.append(len(kernels))
+        return core.density_many(g, kernels)
+
+    monkeypatch.setattr(norming, "density_many", counted)
+    whole = holder_check(h, d)
+    assert calls == [6]
+    per_kernel = core.CONTRACTION_LIMIT // core.max_batch(h, parts)
+    monkeypatch.setattr(core, "CONTRACTION_LIMIT", 4 * per_kernel)
+    with pytest.raises(ValueError, match="limit"):
+        core.density_many(h, list(d.kernels.values()))
+    calls.clear()
+    split = holder_check(h, d)
+    assert calls == [4, 2]
+    assert split.lhs == whole.lhs
+    assert split.rhs == pytest.approx(whole.rhs, rel=1e-14)
+    assert split.rhs == pytest.approx(math.prod(density(h, d.kernels[e]) for e in h.sorted_edges), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +433,18 @@ def test_perturbed_certificate_fails_validation(c4, c6):
     ok, detail = validate_certificate(tampered)
     assert not ok
     assert "reproduce" in detail
+
+
+def test_nonisomorphism_pair_must_be_host_components(c4, c6):
+    cert = next(c for c in component_analysis(disjoint_union(c4, c6))[1] if c.kind == COMPONENT_NONISOMORPHISM)
+    assert validate_certificate(cert)[0]
+    doc = certificate_to_json(cert)
+    # C4+C4 is weakly norming; C4+C5 holds only one of the pair
+    for host in (disjoint_union(c4, c4), disjoint_union(c4, cycle(5))):
+        doc["graph"] = graph_to_json(host)
+        ok, detail = validate_certificate(certificate_from_json(doc))
+        assert not ok
+        assert "not components of the host" in detail
 
 
 def test_tampered_sides_fail_validation(k3):
