@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .density import density, elimination_plan
-from .graphs import Graph, GraphParseError, parse_edge_list
+from .graphs import Graph, GraphParseError, edge_components, parse_edge_list
 from .kernels import absolute, kernel_from_json
 from .moduli import estimate_to_json, estimates_to_csv, modulus_scan
 from .norming import (
@@ -83,7 +84,9 @@ def cmd_density(args: argparse.Namespace) -> int:
     print(f"t(H,W) = {t:.12g}")
     print(f"norm_H(W) = {abs(t) ** (1.0 / m):.12g}")
     print(f"norm_rH(W) = {density(h, absolute(w)) ** (1.0 / m):.12g}")
-    print(f"elimination_width = {elimination_plan(h).width}")
+    # the plan of h restricted to each component is that component's plan
+    width = max(elimination_plan(c.graph).width for c in edge_components(h))
+    print(f"elimination_width = {width}")
     return EXIT_OK
 
 
@@ -174,9 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, OSError) as exc:

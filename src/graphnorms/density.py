@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, components
+from .graphs import Graph, edge_components
 from .kernels import PartitionMismatchError, StepKernel, absolute
 
 _BATCH = -1  # pseudo-variable: a shared leading axis carried through a contraction
@@ -102,6 +102,12 @@ def elimination_plan(g: Graph) -> EliminationPlan:
 # parts^width, times the batch) plus copies the size of its operands.  The
 # schedule is compiled once per (graph, order, batched) into closures over
 # precomputed permutations and einsum strings.
+#
+# Every edge array is exactly symmetric in its two vertex axes (a validated
+# kernel, or a stack of them), so an original edge slot is read in whichever
+# of its two vertex orders the reading step lays out: products multiply it
+# and matmuls take it without swapping them.  Only intermediate factors,
+# and the batch axis of a stack, are ever moved.
 
 def _sum_step(axis: int):
     def run(a):
@@ -120,29 +126,35 @@ def _aligner(vars_: tuple, layout: tuple):
 
 
 def _product_step(in_vars: list[tuple], layout: tuple):
-    """Broadcast product of the inputs, C-contiguous in layout.
+    """Broadcast product of the inputs in their order, C-contiguous in layout.
 
-    The first multiply allocates; once the running product spans all of
-    layout, later factors are multiplied into it in place.
+    The output is allocated first; products over fewer axes than layout get
+    their own arrays, and from the first multiply that spans all of layout
+    on, the running product is written into the output.  Allocating the
+    output before any partial product keeps a partial product from taking
+    part of the space the previous step's output just freed and pushing
+    the output past it, growing the heap (peak memory, not arithmetic).
     """
     views = [_aligner(vs, layout) for vs in in_vars]
-    full, covered, inplace = set(layout), set(), []
-    for i, vs in enumerate(in_vars):
-        inplace.append(i >= 2 and covered == full)
+    sources = [next((i, vs.index(u)) for i, vs in enumerate(in_vars) if u in vs) for u in layout]
+    full, covered, spans = set(layout), set(), []
+    for vs in in_vars:
         covered |= set(vs)
-    plan = tuple(zip(views, inplace))
+        spans.append(covered == full)
+    plan = tuple(zip(views, spans))
 
     def run(*arrays):
+        buf = np.empty([arrays[i].shape[j] for i, j in sources])
         out = None
-        for a, ((perm, index), in_place) in zip(arrays, plan):
+        for a, ((perm, index), spanning) in zip(arrays, plan):
             if perm is not None:
                 a = a.transpose(perm)
             if index is not None:
                 a = a[index]
             if out is None:
                 out = a
-            elif in_place:
-                np.multiply(out, a, out=out)
+            elif spanning:
+                out = np.multiply(out, a, out=buf)
             else:
                 out = np.multiply(out, a, order="C")
         return out
@@ -228,11 +240,27 @@ def _best_split(clusters: list, union: frozenset) -> list | None:
     return None if best is None else best[1]
 
 
-def _compile_step(v: int, group: list, emit) -> tuple:
-    """Emit the steps that sum v out of group; return the new (vars, slot)."""
+def _oriented(factors: list, layout: tuple, symmetric: range) -> list[tuple]:
+    """The vars of each factor; for a slot in `symmetric`, whose array is
+    symmetric in its last two axes, those two in layout order."""
+    out = []
+    for vs, slot in factors:
+        if slot in symmetric and layout.index(vs[-1]) < layout.index(vs[-2]):
+            vs = vs[:-2] + (vs[-1], vs[-2])
+        out.append(vs)
+    return out
+
+
+def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
+    """Emit the steps that sum v out of group; return the new (vars, slot).
+    Slots in `symmetric` hold arrays symmetric in their two vertex axes."""
     if len(group) == 1:
         ((vs, slot),) = group
         return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
+
+    def multiply(factors, layout):
+        return emit(_product_step(_oriented(factors, layout, symmetric), layout), [f[1] for f in factors], layout)
+
     union = _span(group)
     clusters: list = []  # (span, [head factor, factors folded into it])
     for f in sorted(group, key=lambda f: -len(f[0])):
@@ -251,7 +279,7 @@ def _compile_step(v: int, group: list, emit) -> tuple:
             sides = [(folded, rest), ([head], union)]
         else:
             # the folded factors span the head: multiply them into it, then sum
-            vs, slot = emit(_product_step([f[0] for f in group], head[0]), [f[1] for f in group], head[0])
+            vs, slot = multiply(group, head[0])
             return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
     elif len(clusters) == 2:
         sides = [(factors, span) for span, factors in clusters]
@@ -263,8 +291,7 @@ def _compile_step(v: int, group: list, emit) -> tuple:
         for _, (head, *folded) in clusters:
             if folded:
                 layout = tuple([u for u in head[0] if u != v]) + (v,)
-                members = [head, *folded]
-                head = emit(_product_step([f[0] for f in members], layout), [f[1] for f in members], layout)
+                head = multiply([head, *folded], layout)
             heads.append(head)
         out_vars = tuple(sorted(union - {v}))
         return emit(_einsum_step([vs for vs, _ in heads], out_vars), [slot for _, slot in heads], out_vars)
@@ -273,12 +300,13 @@ def _compile_step(v: int, group: list, emit) -> tuple:
     operands, perms = [], []
     for (side, _), layout in ((x, x_layout), (y, y_layout)):
         if len(side) == 1:
-            ((vs, slot),) = side
+            ((_, slot),) = side
+            (vs,) = _oriented(side, layout, symmetric)
             perm = tuple([vs.index(u) for u in layout])
             perms.append(None if perm == tuple(range(len(perm))) else perm)
         else:
             side = sorted(side, key=lambda f: -len(f[0]))
-            _, slot = emit(_product_step([f[0] for f in side], layout), [f[1] for f in side], layout)
+            _, slot = multiply(side, layout)
             perms.append(None)
         operands.append(slot)
     return emit(_matmul_step(*perms, lead), operands, out_vars)
@@ -319,10 +347,11 @@ def _program(g: Graph, order: tuple[int, ...] | None, batched: bool) -> _Program
         widest[has_batch] = max(widest[has_batch], len(out_vars) - has_batch)
         return out_vars, slot
 
+    edge_slots = range(n, n + len(edges))
     for v in order:
         group = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
-        factors.append(_compile_step(v, group, emit))
+        factors.append(_compile_step(v, group, emit, edge_slots))
     results = tuple((slot, bool(vs)) for vs, slot in factors)
     return _Program(n, edges, tuple(steps), results, widest[False], widest[True])
 
@@ -355,7 +384,7 @@ def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int |
     if order is not None:
         jobs = [(_program(h, _check_order(h, order), batched), range(h.vertex_count))]
     else:
-        jobs = [(_program(c.graph, None, batched), c.vertices) for c in components(h) if c.graph.edge_count]
+        jobs = [(_program(c.graph, None, batched), c.vertices) for c in edge_components(h)]
     parts = measures.size
     for program, _ in jobs:
         size = program.largest_output(parts, batch or 1)
@@ -409,7 +438,7 @@ def max_batch(h: Graph, parts: int) -> int:
     """Most kernels of `parts` parts that one density_many(h, ...) call can
     batch without a step over CONTRACTION_LIMIT.  At least 1, so a graph too
     wide even for one kernel still meets the guard's error."""
-    programs = [_program(c.graph, None, True) for c in components(h) if c.graph.edge_count]
+    programs = [_program(c.graph, None, True) for c in edge_components(h)]
     per_kernel = max((parts**p.widest_batched for p in programs if p.widest_batched >= 0), default=1)
     return max(1, CONTRACTION_LIMIT // per_kernel)
 

@@ -164,29 +164,38 @@ class Component:
 @lru_cache(maxsize=64)
 def components(g: Graph) -> tuple[Component, ...]:
     """Connected components, ordered by smallest original vertex (cached per graph)."""
-    adj = adjacency(g)
-    seen = [False] * g.vertex_count
-    out: list[Component] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        stack, members = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        members.sort()
+    comps = list(edge_components(g))
+    covered = {v for c in comps for v in c.vertices}
+    comps += [Component(Graph(1, frozenset()), (v,)) for v in range(g.vertex_count) if v not in covered]
+    return tuple(sorted(comps, key=lambda c: c.vertices[0]))
+
+
+@lru_cache(maxsize=64)
+def edge_components(g: Graph) -> tuple[Component, ...]:
+    """The components with edges, as `components` orders and relabels them,
+    found from the edges alone: isolated vertices cost nothing, however
+    many the graph declares (cached per graph)."""
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in g.edges:
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        parent[root(u)] = root(v)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        groups.setdefault(root(e[0]), []).append(e)
+    out = []
+    for edges in groups.values():
+        members = sorted({v for e in edges for v in e})
         index = {v: i for i, v in enumerate(members)}
-        sub = Graph.from_edges(
-            ((index[u], index[v]) for u, v in g.edges if u in index),
-            vertex_count=len(members),
-        )
+        sub = Graph.from_edges(((index[u], index[v]) for u, v in edges), vertex_count=len(members))
         out.append(Component(sub, tuple(members)))
-    return tuple(out)
+    return tuple(sorted(out, key=lambda c: c.vertices[0]))
 
 
 def is_connected(g: Graph) -> bool:

@@ -4,6 +4,14 @@ A kernel is a vector of part measures (positive, summing to 1) plus a
 symmetric matrix of block values.  Values may leave [0, 1]: being a
 graphon is a predicate here, not an invariant.  Kernels are immutable
 after construction; the backing arrays are locked read-only.
+
+Outside data always goes through the full validation of `StepKernel(...)`.
+The pointwise algebra (`add`, `subtract`, `scale`, `absolute`, `combine`,
+`ones_like`) instead builds derived kernels: they share their operand's
+read-only measures array, take the freshly computed values array without
+copying it, and check only finiteness.  Elementwise operations on exactly
+symmetric arrays of one shape are exactly symmetric, and the measures were
+validated with the operand.
 """
 
 from __future__ import annotations
@@ -55,7 +63,19 @@ class StepKernel:
         return self.measures.size
 
     def same_partition(self, other: "StepKernel") -> bool:
-        return np.array_equal(self.measures, other.measures)
+        return self.measures is other.measures or np.array_equal(self.measures, other.measures)
+
+
+def _derived(w: StepKernel, values: np.ndarray) -> StepKernel:
+    """A kernel on w's partition whose values were just computed pointwise
+    from validated kernels of that partition; values is locked, not copied."""
+    if not np.isfinite(values).all():
+        raise ValueError("measures and values must be finite")
+    values.setflags(write=False)
+    out = object.__new__(StepKernel)
+    object.__setattr__(out, "measures", w.measures)
+    object.__setattr__(out, "values", values)
+    return out
 
 
 def _require_same_partition(w1: StepKernel, w2: StepKernel, op: str) -> None:
@@ -213,22 +233,22 @@ def sample_block_random(n: int, d: DiracMixture, seed: int) -> StepKernel:
 
 def add(w1: StepKernel, w2: StepKernel) -> StepKernel:
     _require_same_partition(w1, w2, "add")
-    return StepKernel(w1.measures, w1.values + w2.values)
+    return _derived(w1, w1.values + w2.values)
 
 
 def subtract(w1: StepKernel, w2: StepKernel) -> StepKernel:
     _require_same_partition(w1, w2, "subtract")
-    return StepKernel(w1.measures, w1.values - w2.values)
+    return _derived(w1, w1.values - w2.values)
 
 
 def scale(w: StepKernel, c: float) -> StepKernel:
     if not np.isfinite(c):
         raise ValueError("scale factor must be finite")
-    return StepKernel(w.measures, c * w.values)
+    return _derived(w, c * w.values)
 
 
 def absolute(w: StepKernel) -> StepKernel:
-    return StepKernel(w.measures, np.abs(w.values))
+    return _derived(w, np.abs(w.values))
 
 
 def combine(alpha: float, w1: StepKernel, beta: float, w2: StepKernel) -> StepKernel:
@@ -236,13 +256,13 @@ def combine(alpha: float, w1: StepKernel, beta: float, w2: StepKernel) -> StepKe
     _require_same_partition(w1, w2, "combine")
     if not (np.isfinite(alpha) and np.isfinite(beta)):
         raise ValueError("coefficients must be finite")
-    return StepKernel(w1.measures, alpha * w1.values + beta * w2.values)
+    return _derived(w1, alpha * w1.values + beta * w2.values)
 
 
 def ones_like(w: StepKernel) -> StepKernel:
     """Constant-1 kernel on the same partition as w."""
     k = w.part_count
-    return StepKernel(w.measures, np.ones((k, k)))
+    return _derived(w, np.ones((k, k)))
 
 
 def is_nonnegative(w: StepKernel) -> bool:
@@ -279,5 +299,5 @@ def kernel_from_json(obj: dict) -> StepKernel:
         raise ValueError("kernel JSON must have 'measures' and 'values' fields")
     try:
         return StepKernel(np.array(obj["measures"], dtype=np.float64), np.array(obj["values"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad kernel JSON: {exc}") from None

@@ -25,6 +25,7 @@ from .graphs import (
     Graph,
     average_degree,
     components,
+    edge_components,
     enumerate_subgraphs,
     find_isomorphism,
     find_subgraph_embedding,
@@ -256,7 +257,7 @@ def _component_decoration(h: Graph, comp: Component) -> Decoration:
 def _structured_component_decorations(h: Graph) -> list[Decoration]:
     """For disconnected hosts with equal component average degrees: one
     _component_decoration per component."""
-    comps = [c for c in components(h) if not c.is_singleton]
+    comps = edge_components(h)
     if len(comps) < 2 or len({average_degree(c.graph) for c in comps}) != 1:
         return []
     return [_component_decoration(h, comp) for comp in comps]
@@ -396,7 +397,7 @@ def edge_mismatch_certificate(h: Graph) -> Certificate:
     side is (2^k)^p for p the minimum component edge count; the two differ
     exactly when some component has more than p edges.
     """
-    comps = [c for c in components(h) if not c.is_singleton]
+    comps = edge_components(h)
     if len(comps) < 2:
         raise ValueError("need at least two non-singleton components")
     degrees = {average_degree(c.graph) for c in comps}

@@ -75,6 +75,27 @@ def test_density_bad_kernel_json(tmp_path, capsys, c4):
     assert code == 2
 
 
+def test_density_kernel_value_beyond_float_range(tmp_path, capsys, c4):
+    kernel = tmp_path / "huge.json"
+    kernel.write_text(json.dumps({"measures": [0.5, 0.5], "values": [[10**400, 0], [0, 1]]}))
+    code = main(["density", write_graph(tmp_path, c4), str(kernel)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad kernel JSON" in captured.err
+    assert captured.out == ""
+
+
+def test_density_ignores_isolated_vertices(tmp_path, capsys, c4):
+    graph = tmp_path / "sparse.txt"
+    graph.write_text("vertices 100000\n" + "".join(f"{u} {v}\n" for u, v in c4.sorted_edges))
+    kernel = write_kernel(tmp_path, half_square_kernel())
+    assert main(["density", str(graph), kernel]) == 0
+    sparse = capsys.readouterr().out
+    assert main(["density", write_graph(tmp_path, c4), kernel]) == 0
+    assert sparse == capsys.readouterr().out
+    assert "elimination_width = 2" in sparse
+
+
 def test_density_bad_graph(tmp_path, capsys):
     p = tmp_path / "loop.txt"
     p.write_text("0 0\n")
@@ -245,6 +266,18 @@ def test_validate_wrong_schema(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_kernel_value_beyond_float_range(tmp_path, capsys, c4, c6):
+    cert_path = _fresh_certificate(tmp_path, capsys, c4, c6)
+    doc = json.loads(cert_path.read_text())
+    doc["decoration"]["kernels"][0]["values"][0][0] = 10**400
+    cert_path.write_text(json.dumps(doc))
+    code = main(["validate", str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad kernel JSON" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("lhs", "oops"), ("rhs", [1.0]), ("lhs", True), ("rhs", False), ("mode", "strong"), ("mode", None)],
@@ -290,3 +323,24 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_main_serves_every_command_in_one_process(tmp_path, capsys, c4, c6):
+    graph = write_graph(tmp_path, c4)
+    assert main(["density", graph, write_kernel(tmp_path, half_square_kernel())]) == 0
+    assert "t(H,W) = 0.0625" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["moduli", graph])  # --kind is required
+    assert err.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert main(["moduli", graph, "--kind", "smoothness", "--n-grid", "4", "--seeds", "0"]) == 0
+    assert capsys.readouterr().out.startswith("graph,kind,epsilon,n,seed,value\n")
+    assert main(["check", graph, "--budget", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"].startswith("consistent")
+    cert_path = _fresh_certificate(tmp_path, capsys, c4, c6)
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cert_path), "--margin", "wide"])
+    assert err.value.code == 2
+    assert "--margin" in capsys.readouterr().err
+    assert main(["validate", str(cert_path)]) == 0
+    assert "valid = yes" in capsys.readouterr().out

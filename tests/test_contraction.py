@@ -154,6 +154,42 @@ def test_no_step_output_exceeds_the_width(data):
         assert program.largest_output(7, 5) <= 7**width * (5 if batched else 1)
 
 
+class _Logged(np.ndarray):
+    """An array that records, in `log` when it has one, each axis order it is
+    transposed to."""
+
+    log = None
+
+    def transpose(self, axes):
+        if self.log is not None:
+            self.log.append(axes)
+        return super().transpose(axes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_no_step_reads_an_edge_array_with_its_vertex_axes_swapped(data):
+    # Edge arrays are symmetric in their two vertex axes, so the compiled
+    # steps read them in stored order.  Only the batch axis may move.
+    h = data.draw(small_graphs().filter(lambda g: g.edge_count > 0))
+    order = data.draw(st.none() | st.permutations(range(h.vertex_count)).map(tuple))
+    batched = data.draw(st.booleans())
+    kernels = data.draw(kernel_families(h.edge_count))
+    shape = (2,) if batched else ()
+    program = core._program(h, order, batched)
+    log: list = []
+    arrays = []
+    for w in kernels:
+        a = np.broadcast_to(w.values, shape + w.values.shape).copy().view(_Logged)
+        a.log = log
+        arrays.append(a)
+    value = core._run(program, kernels[0].measures, arrays)
+    vertex_axes = (len(shape), len(shape) + 1)
+    assert [tuple(p for p in perm if p in vertex_axes) for perm in log] == [vertex_axes] * len(log)
+    plain = core._run(program, kernels[0].measures, [np.asarray(a) for a in arrays])
+    assert np.array_equal(np.asarray(value), np.asarray(plain))
+
+
 @pytest.mark.parametrize("host,order", [(Q3, None), (TRIANGLE_HOST, TRIANGLE_ORDER)])
 def test_triangle_pattern_steps_match_bruteforce(host, order):
     program = core._program(host, order, False)
@@ -205,6 +241,23 @@ def test_q3_peak_memory_stays_within_a_few_step_outputs():
         tracemalloc.stop()
     # one parts^4 float64 array alone would be 6 times this bound
     assert peak < 8 * parts**3 * 8
+
+
+def test_isolated_vertices_cost_nothing():
+    # One edge among 10^5 declared vertices: only the edge's component is
+    # built and compiled, not one per isolated vertex.
+    h = _graph(10**5, [(17, 40000)])
+    w = StepKernel(np.array([0.25, 0.75]), np.array([[0.5, -1.0], [-1.0, 2.0]]))
+    tracemalloc.start()
+    try:
+        value = density(h, w)
+        batch = core.max_batch(h, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    assert value == density(_graph(2, [(0, 1)]), w)
+    assert batch == core.CONTRACTION_LIMIT // 128
 
 
 # ---------------------------------------------------------------------------

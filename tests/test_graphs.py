@@ -19,6 +19,7 @@ from graphnorms import (
     complete_bipartite,
     components,
     cycle,
+    edge_components,
     disjoint_union,
     enumerate_subgraphs,
     find_isomorphism,
@@ -126,6 +127,15 @@ def test_components_partition_and_reassembly():
         assert sorted(seen) == list(range(g.vertex_count))
         rebuilt = disjoint_union(*(c.graph for c in comps))
         assert are_isomorphic(rebuilt, g)
+
+
+def test_edge_components_are_the_components_with_edges():
+    rng = random.Random(11)
+    for _ in range(80):
+        g = random_graph(rng, max_vertices=9, p=0.25)
+        assert edge_components(g) == tuple(c for c in components(g) if c.graph.edge_count)
+    g = Graph.from_edges([(5, 9), (0, 7), (7, 9), (2, 3)], vertex_count=10**9)
+    assert [c.vertices for c in edge_components(g)] == [(0, 5, 7, 9), (2, 3)]
 
 
 # ---------------------------------------------------------------------------

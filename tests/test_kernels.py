@@ -295,6 +295,54 @@ def test_combine_matches_manual_arithmetic(alpha, beta):
     assert np.allclose(out.values, alpha * w1.values + beta * w2.values)
 
 
+@st.composite
+def _kernel_pairs(draw):
+    """Two signed kernels on one partition, given as equal but distinct measure arrays."""
+    parts = draw(st.integers(1, 5))
+    raw = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=parts, max_size=parts)))
+    measures = raw / raw.sum()
+    finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+    pair = []
+    for _ in range(2):
+        upper = np.triu(np.array(draw(st.lists(finite, min_size=parts * parts, max_size=parts * parts))).reshape(
+            parts, parts))
+        pair.append(StepKernel(measures.copy(), upper + np.triu(upper, 1).T))
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_pairs(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_derived_kernels_equal_their_validated_construction(pair, alpha, beta):
+    w1, w2 = pair
+    cases = [
+        (add(w1, w2), w1.values + w2.values),
+        (subtract(w1, w2), w1.values - w2.values),
+        (scale(w1, alpha), alpha * w1.values),
+        (absolute(w1), np.abs(w1.values)),
+        (combine(alpha, w1, beta, w2), alpha * w1.values + beta * w2.values),
+        (ones_like(w1), np.ones(w1.values.shape)),
+    ]
+    for derived, values in cases:
+        checked = StepKernel(w1.measures, values)
+        assert derived.measures is w1.measures
+        assert derived.values.dtype == checked.values.dtype == np.float64
+        assert derived.values.tobytes() == checked.values.tobytes()
+        assert np.array_equal(derived.values, derived.values.T)
+        assert not derived.values.flags.writeable
+        assert derived.same_partition(w1) and derived.same_partition(w2)
+
+
+def test_derived_kernel_overflow_is_rejected():
+    w = constant_kernel(1e300)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            scale(w, 1e10)
+        with pytest.raises(ValueError, match="finite"):
+            combine(1e10, w, 1e10, w)
+        with pytest.raises(ValueError, match="finite"):
+            add(constant_kernel(1.7e308), constant_kernel(1.7e308))
+
+
 # ---------------------------------------------------------------------------
 # Common refinement
 # ---------------------------------------------------------------------------
@@ -335,6 +383,13 @@ def test_kernel_json_round_trip():
         back = kernel_from_json(kernel_to_json(w))
         assert np.array_equal(back.measures, w.measures)
         assert np.array_equal(back.values, w.values)
+
+
+def test_kernel_json_rejects_values_beyond_float_range():
+    with pytest.raises(ValueError, match="bad kernel JSON"):
+        kernel_from_json({"measures": [1.0], "values": [[10**400]]})
+    with pytest.raises(ValueError, match="bad kernel JSON"):
+        kernel_from_json({"measures": [10**400], "values": [[1.0]]})
 
 
 def test_kernel_json_rejects_asymmetry():
