@@ -281,8 +281,6 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
             # the folded factors span the head: multiply them into it, then sum
             vs, slot = multiply(group, head[0])
             return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
-    elif len(clusters) == 2:
-        sides = [(factors, span) for span, factors in clusters]
     else:
         sides = _best_split(clusters, union)
     if sides is None:
@@ -369,23 +367,19 @@ def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
     return 1.0 if result is None else result
 
 
-def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None,
-              order: Sequence[int] | None = None):
-    """The one contraction core behind every density.
-
-    edge_array(e) gives the value array of edge e of h: parts x parts, or
-    batch x parts x parts when `batch` is set.  Without an order each
-    connected component with edges is eliminated along its own cached plan
-    and the component values are multiplied; with one, h is eliminated
-    whole along it.  Raises ValueError, before allocating anything, when a
-    step would exceed CONTRACTION_LIMIT elements.
+def _contraction_jobs(h: Graph, parts: int, batch: int | None = None,
+                      order: Sequence[int] | None = None) -> list:
+    """The compiled programs that contract h at `parts` parts, each with the
+    names of its vertices in h.  Without an order, one per connected
+    component with edges, along its own cached plan; with one, h whole
+    along it.  Raises ValueError, before anything is allocated, when a step
+    would exceed CONTRACTION_LIMIT elements.
     """
     batched = batch is not None
     if order is not None:
         jobs = [(_program(h, _check_order(h, order), batched), range(h.vertex_count))]
     else:
         jobs = [(_program(c.graph, None, batched), c.vertices) for c in edge_components(h)]
-    parts = measures.size
     for program, _ in jobs:
         size = program.largest_output(parts, batch or 1)
         if size > CONTRACTION_LIMIT:
@@ -393,8 +387,20 @@ def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int |
                 f"contraction needs a step of {size} elements ({parts} parts), over the "
                 f"{CONTRACTION_LIMIT} limit"
             )
+    return jobs
+
+
+def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None,
+              order: Sequence[int] | None = None):
+    """The one contraction core behind every density.
+
+    edge_array(e) gives the value array of edge e of h: parts x parts, or
+    batch x parts x parts when `batch` is set.  The values of the programs
+    _contraction_jobs compiles (one per component without an order) are
+    multiplied.
+    """
     total = 1.0
-    for program, names in jobs:
+    for program, names in _contraction_jobs(h, measures.size, batch, order):
         arrays = [edge_array((names[a], names[b])) for a, b in program.edges]
         total = total * _run(program, measures, arrays)
     return total

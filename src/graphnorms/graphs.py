@@ -219,100 +219,76 @@ def remove_isolated_vertices(g: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism
+# Isomorphism and subgraph embedding
 # ---------------------------------------------------------------------------
 
-def _refined_colors(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
-    """Joint iterated neighborhood refinement; None when color multisets split."""
-    adj1, adj2 = adjacency(g1), adjacency(g2)
-    colors1 = g1.degrees()
-    colors2 = g2.degrees()
-    for _ in range(g1.vertex_count + 1):
-        table: dict[tuple, int] = {}
+def _search(f: Graph, h: Graph, exact: bool) -> dict[int, int] | None:
+    """An injective map from V(f) into V(h) sending every edge of f to an
+    edge of h, by backtracking; None when there is none.
 
-        def recolor(colors, adj):
-            new = []
-            for v in range(len(colors)):
-                sig = (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-                new.append(table.setdefault(sig, len(table)))
-            return new
+    With `exact`, each vertex must keep its degree and mapped non-neighbours
+    must stay non-adjacent.  Both rules only prune when f and h have equal
+    vertex and edge counts, where every embedding is an isomorphism.
+    Intended for the small graphs (a dozen or so vertices per component)
+    this package works with.
+    """
+    adjf, adjh = adjacency(f), adjacency(h)
+    nbrs = [sum(1 << x for x in a) for a in adjh]  # neighbour sets as bitmasks
+    # Most-constrained-first order: vertices adjacent to already-placed ones
+    # come early, then high degree.
+    placed = [False] * f.vertex_count
+    order: list[int] = []
+    for _ in range(f.vertex_count):
+        v = min(
+            (u for u in range(f.vertex_count) if not placed[u]),
+            key=lambda u: (-sum(placed[w] for w in adjf[u]), -len(adjf[u]), u),
+        )
+        placed[v] = True
+        order.append(v)
+    mapping: dict[int, int] = {}
+    everything = (1 << h.vertex_count) - 1
 
-        new1 = recolor(colors1, adj1)
-        new2 = recolor(colors2, adj2)
-        if sorted(new1) != sorted(new2):
-            return None
-        stable = len(set(new1)) == len(set(colors1))
-        colors1, colors2 = new1, new2
-        if stable:
-            break
-    return colors1, colors2
+    def extend(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        degree = len(adjf[v])
+        images = 0  # the images of v's mapped neighbours
+        free = everything & ~used
+        for u in adjf[v]:
+            if u in mapping:
+                images |= 1 << mapping[u]
+                free &= nbrs[mapping[u]]  # w must be adjacent to every image
+        while free:
+            w = (free & -free).bit_length() - 1
+            free &= free - 1
+            if exact:
+                # the images must be all of w's mapped neighbours
+                if len(adjh[w]) != degree or nbrs[w] & used != images:
+                    continue
+            elif len(adjh[w]) < degree:
+                continue
+            mapping[v] = w
+            if extend(i + 1, used | 1 << w):
+                return True
+            del mapping[v]
+        return False
+
+    return dict(mapping) if extend(0, 0) else None
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """A vertex bijection mapping edges onto edges, or None.
 
-    Degree/neighborhood refinement prunes the search; a backtracking pass
-    over color classes settles the rest.  Intended for the small graphs
-    (a dozen or so vertices per component) this package works with.
+    Graphs with different vertex counts, edge counts or degree sequences
+    are rejected at once; otherwise one backtracking search, the one behind
+    find_subgraph_embedding, settles it with degrees matched exactly.
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
-    if g1.vertex_count == 0:
-        return {}
-    refined = _refined_colors(g1, g2)
-    if refined is None:
+    if sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
-    colors1, colors2 = refined
-    adj1, adj2 = adjacency(g1), adjacency(g2)
-
-    # Most-constrained-first order: vertices adjacent to already-chosen ones
-    # come early, then small color classes, then high degree.
-    class_size = {c: colors2.count(c) for c in set(colors2)}
-    chosen: set[int] = set()
-    order: list[int] = []
-    while len(order) < g1.vertex_count:
-        nxt = min(
-            (v for v in range(g1.vertex_count) if v not in chosen),
-            key=lambda v: (-sum(1 for w in adj1[v] if w in chosen), class_size[colors1[v]], -len(adj1[v]), v),
-        )
-        chosen.add(nxt)
-        order.append(nxt)
-
-    mapping: dict[int, int] = {}
-    used = [False] * g2.vertex_count
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(g2.vertex_count):
-            if used[w] or colors2[w] != colors1[v]:
-                continue
-            ok = True
-            for u in adj1[v]:
-                if u in mapping and mapping[u] not in adj2[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # Mapped non-neighbors of v must not become neighbors of w.
-            for u, x in mapping.items():
-                if u not in adj1[v] and x in adj2[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    return _search(g1, g2, exact=True)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -323,30 +299,7 @@ def find_subgraph_embedding(f: Graph, h: Graph) -> dict[int, int] | None:
     """Injective map from V(f) into V(h) sending every edge of f to an edge of h."""
     if f.vertex_count > h.vertex_count or f.edge_count > h.edge_count:
         return None
-    adjf, adjh = adjacency(f), adjacency(h)
-    degh = h.degrees()
-    order = sorted(range(f.vertex_count), key=lambda v: (-len(adjf[v]), v))
-    mapping: dict[int, int] = {}
-    used = [False] * h.vertex_count
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(h.vertex_count):
-            if used[w] or degh[w] < len(adjf[v]):
-                continue
-            if any(u in mapping and mapping[u] not in adjh[w] for u in adjf[v]):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    return dict(mapping) if extend(0) else None
+    return _search(f, h, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import density, norm_rh
+from .density import CONTRACTION_LIMIT, _contraction_jobs, density, norm_rh
 from .graphs import Graph, disjoint_union, is_connected
 from .kernels import (
     DiracMixture,
@@ -124,12 +124,20 @@ def _sample_normalized(h: Graph, n: int, seed: int, role: str) -> tuple[StepKern
 _KINDS = {"convexity": CONVEXITY, "smoothness": SMOOTHNESS, CONVEXITY: CONVEXITY, SMOOTHNESS: SMOOTHNESS}
 
 
-def _require_witness_inputs(h: Graph, eps_grid: Sequence[float]) -> None:
+def _require_witness_inputs(h: Graph, eps_grid: Sequence[float], n_grid: Sequence[int]) -> None:
+    """Reject a bad epsilon, an edgeless graph or a block count whose samples
+    or contraction steps would not fit, before any sample is drawn."""
     for eps in eps_grid:
         if not (0.0 < eps < 1.0):
             raise ValueError(f"epsilon {eps} outside the supported range (0, 1)")
     if h.edge_count == 0:
         raise ValueError("need a graph with at least one edge")
+    for n in n_grid:
+        if n < 1:
+            raise ValueError(f"block count {n} must be at least 1")
+        if n * n > CONTRACTION_LIMIT:
+            raise ValueError(f"block count {n} needs {n * n} kernel values, over the {CONTRACTION_LIMIT} limit")
+        _contraction_jobs(h, n)  # raises when a contraction step would not fit
 
 
 def _witnesses(h: Graph, kind: str, eps_grid: Sequence[float], n: int, seed: int) -> list[ModulusEstimate]:
@@ -158,7 +166,7 @@ def convexity_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEst
     separation and the midpoint deficiency are O(1/n) away from their
     limits 1 and 0.  Neither depends on epsilon.
     """
-    _require_witness_inputs(h, [epsilon])
+    _require_witness_inputs(h, [epsilon], [n])
     return _witnesses(h, CONVEXITY, [epsilon], n, seed)[0]
 
 
@@ -169,7 +177,7 @@ def smoothness_witness(h: Graph, epsilon: float, n: int, seed: int) -> ModulusEs
     is a valid lower bound since ||eps y|| = eps; it approaches eps / 2 as
     n grows.
     """
-    _require_witness_inputs(h, [epsilon])
+    _require_witness_inputs(h, [epsilon], [n])
     return _witnesses(h, SMOOTHNESS, [epsilon], n, seed)[0]
 
 
@@ -192,7 +200,8 @@ def modulus_scan(
     if kind not in _KINDS:
         raise ValueError(f"kind must be 'convexity' or 'smoothness', got {kind!r}")
     eps_grid = list(eps_grid)
-    _require_witness_inputs(h, eps_grid)
+    n_grid = list(n_grid)
+    _require_witness_inputs(h, eps_grid, n_grid)
     cells = {(n, seed): _witnesses(h, _KINDS[kind], eps_grid, n, seed) for n in n_grid for seed in seeds}
     return [cells[n, seed][k] for k in range(len(eps_grid)) for n in n_grid for seed in seeds]
 

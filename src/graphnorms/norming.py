@@ -144,8 +144,11 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
 
     In weak mode all decoration kernels must be non-negative and the bound
     is the product of t(h, W_e); in semi mode signed kernels are allowed
-    and the bound takes absolute values.  A ratio above 1 + 1e-9 refutes
-    the corresponding norming property of h.  A side whose magnitude
+    and the bound takes absolute values.  A ratio above 1 refutes the
+    corresponding norming property of h.  In floats, `violated` needs a
+    ratio above 1 + CHECK_TOL, holder_search mints a certificate only above
+    1 + SEARCH_TOL, and validate_certificate applies _violates at its
+    margin (CHECK_TOL by default).  A side whose magnitude
     overflows is reported as inf and leaves the ratio nan: such a
     decoration decides nothing, so it never refutes.
     """
@@ -283,7 +286,7 @@ def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> C
     Draws from several deterministic-per-(seed, trial) families: random block
     kernels, two-part indicators, dyadic diagonal kernels, rank-one kernels,
     and (first, for disconnected hosts) the structured one-component
-    decorations.  A hit must clear ratio > 1 + 1e-6 before it is certified.
+    decorations.  A hit must clear ratio > 1 + SEARCH_TOL before it is certified.
     """
     _require_mode(mode)
     if trials < 1:
@@ -329,7 +332,7 @@ def _domination_sides(f: Graph, h: Graph, u: StepKernel) -> tuple[float, float]:
 
 def _densest_component_sides(g: Graph, u: StepKernel) -> tuple[float, float]:
     """_domination_sides for the component of g with the largest density under u."""
-    best = max((c.graph for c in components(g)), key=lambda c: density(c, u))
+    best = max((c.graph for c in edge_components(g)), key=lambda c: density(c, u))
     return _domination_sides(best, g, u)
 
 
@@ -705,7 +708,7 @@ def _component_sides(cert: Certificate) -> tuple[float, float] | str | None:
         return "certificate is missing its component pair"
     if find_isomorphism(*cert.pair) is not None:
         return "stored components are isomorphic after all"
-    hosted = [c.graph for c in components(cert.graph)]
+    hosted = [c.graph for c in edge_components(cert.graph)]
     if not all(any(find_isomorphism(f, c) is not None for c in hosted) for f in cert.pair):
         return "stored components are not components of the host"
     if cert.kernel is None:
@@ -730,8 +733,12 @@ def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[
     """Re-evaluate a certificate from its payload alone.
 
     Checks both that the stored inequality sides reproduce (to 1e-9
-    relative) and that the violation clears the given margin.
+    relative) and that the violation clears the given margin.  The margin
+    must be finite and at least CHECK_TOL, the tolerance the sides
+    reproduce to, so that float noise never passes; ValueError otherwise.
     """
+    if not (math.isfinite(margin) and margin >= CHECK_TOL):
+        raise ValueError(f"margin {margin} must be finite and at least {CHECK_TOL}")
     if cert.kind not in _SIDES:
         return False, f"unknown certificate kind {cert.kind!r}"
     sides = _SIDES[cert.kind](cert)

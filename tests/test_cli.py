@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphnorms
 from graphnorms import (
     constant_kernel,
     disjoint_union,
@@ -15,6 +21,8 @@ from graphnorms import (
 )
 from graphnorms.cli import main
 from conftest import graph_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -213,6 +221,45 @@ def test_moduli_eps_out_of_range(tmp_path, capsys, c4):
     assert "(0, 1)" in err
 
 
+@pytest.mark.parametrize("n_grid", ["0", "16,-2"])
+def test_moduli_block_count_below_one(tmp_path, capsys, c4, n_grid):
+    code = main(["moduli", write_graph(tmp_path, c4), "--kind", "convexity", "--n-grid", n_grid, "--seeds", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "at least 1" in captured.err
+    assert captured.out == ""
+
+
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from graphnorms.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_moduli_huge_block_count_rejected_before_allocating(tmp_path, c4):
+    # One 20000-part sample is a 2.98 GiB array.  The child runs under a
+    # 1 GiB address-space cap, so a missing guard fails there with a
+    # MemoryError instead of exhausting the machine.
+    src = str(Path(graphnorms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["moduli", write_graph(tmp_path, c4), "--kind", "convexity", "--n-grid", "16,20000", "--seeds", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
+    )
+    code, peak = map(int, proc.stdout.split())
+    assert code == 2
+    assert "kernel values, over the" in proc.stderr
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -276,6 +323,57 @@ def test_validate_kernel_value_beyond_float_range(tmp_path, capsys, c4, c6):
     assert code == 2
     assert "bad kernel JSON" in captured.err
     assert captured.out == ""
+
+
+def _equality_domination_certificate(tmp_path):
+    # t(C4, 1/2) = 1/16 = t(C4 + C6, 1/2)^(4/10): an equality, which float
+    # rounding of the right side turns into a violation of about 1e-17.
+    doc = json.loads((GOLDEN / "cert-c4c6-domination.json").read_text())
+    doc["kernel"] = {"measures": [1.0], "values": [[0.5]]}
+    doc["lhs"] = doc["rhs"] = 0.0625
+    path = tmp_path / "equality.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("margin", ["0", "-0.5", "1e-10", "nan", "inf"])
+def test_validate_rejects_margin_below_check_tolerance(tmp_path, capsys, margin):
+    code = main(["validate", _equality_domination_certificate(tmp_path), f"--margin={margin}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "margin" in captured.err
+    assert captured.out == ""
+
+
+def test_validate_nonisomorphism_certificate_with_isolated_host_vertex(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "cert-p4k13-weak-0.json").read_text())
+    doc["graph"]["vertices"] += 1
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "valid = yes" in out
+
+
+def test_validate_rejects_an_isolated_vertex_as_a_component(tmp_path, capsys):
+    # Isolated vertices do not count as components: K2 plus a vertex is not
+    # refuted by the pair (K1, K2).
+    doc = {
+        "kind": "component-nonisomorphism",
+        "mode": "weak",
+        "graph": {"vertices": 3, "edges": [[0, 1]]},
+        "lhs": None,
+        "rhs": None,
+        "pair": [{"vertices": 1, "edges": []}, {"vertices": 2, "edges": [[0, 1]]}],
+        "note": "forged",
+    }
+    path = tmp_path / "k1k2.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "not components of the host" in out
 
 
 @pytest.mark.parametrize(

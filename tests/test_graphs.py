@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphnorms import (
     Graph,
@@ -213,7 +215,7 @@ def test_agrees_with_brute_force_on_small_pairs():
 
 
 def test_degree_blind_pairs_resolved_by_backtracking():
-    # Same degree multisets, different structure: refinement alone cannot split.
+    # Same degree multisets, different structure: only the search can split them.
     pairs = [
         (cycle(6), disjoint_union(complete(3), complete(3))),
         (path(6), disjoint_union(cycle(4), path(2))),
@@ -224,6 +226,106 @@ def test_degree_blind_pairs_resolved_by_backtracking():
     for g1, g2 in pairs:
         assert find_isomorphism(g1, g2) is None
         assert not brute_force_isomorphic(g1, g2)
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.vertex_count))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def from_nx(g: nx.Graph) -> Graph:
+    index = {v: i for i, v in enumerate(sorted(g.nodes()))}
+    return Graph.from_edges(((index[u], index[v]) for u, v in g.edges()), vertex_count=len(index))
+
+
+def edge_image(mapping: dict[int, int], g: Graph) -> set[tuple[int, int]]:
+    return {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in g.edges}
+
+
+def assert_search_agrees_with_networkx(g1: Graph, g2: Graph) -> None:
+    """find_isomorphism against nx.is_isomorphic; a returned map must be a
+    vertex bijection carrying the edges of g1 onto those of g2."""
+    mapping = find_isomorphism(g1, g2)
+    assert (mapping is not None) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+    if mapping is not None:
+        assert sorted(mapping) == list(range(g1.vertex_count))
+        assert sorted(mapping.values()) == list(range(g2.vertex_count))
+        assert edge_image(mapping, g1) == g2.edges
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return g.relabel(dict(enumerate(perm)))
+
+
+def rook_graph() -> Graph:
+    """K4 x K4: cells of a 4 x 4 board, adjacent when in one row or column."""
+    return from_nx(nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)))
+
+
+def shrikhande_graph() -> Graph:
+    """Cayley graph of Z4 x Z4 on {+-(1,0), +-(0,1), +-(1,1)}: like the rook's
+    graph, strongly regular with parameters (16, 6, 2, 2)."""
+    g = nx.Graph()
+    for a in range(4):
+        for b in range(4):
+            g.add_edges_from(((a, b), ((a + da) % 4, (b + db) % 4)) for da, db in [(1, 0), (0, 1), (1, 1)])
+    return from_nx(g)
+
+
+def test_rook_and_shrikhande_graphs_told_apart():
+    rook, shrikhande = rook_graph(), shrikhande_graph()
+    assert sorted(rook.degrees()) == sorted(shrikhande.degrees()) == [6] * 16
+    rng = random.Random(2)
+    assert_search_agrees_with_networkx(rook, shrikhande)
+    assert_search_agrees_with_networkx(shrikhande, rook)
+    for g in (rook, shrikhande):
+        assert_search_agrees_with_networkx(g, relabeled(g, rng))
+    assert find_subgraph_embedding(rook, shrikhande) is None
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_isomorphism_agrees_with_networkx_on_random_regular_pairs(degree):
+    rng = random.Random(degree)
+    for n in range(10, 17):
+        if degree * n % 2:
+            continue
+        for seed in range(2):
+            g1 = from_nx(nx.random_regular_graph(degree, n, seed=seed))
+            g2 = from_nx(nx.random_regular_graph(degree, n, seed=seed + 100))
+            assert_search_agrees_with_networkx(g1, g2)
+            assert_search_agrees_with_networkx(g1, relabeled(g1, rng))
+
+
+def test_isomorphism_agrees_with_networkx_on_degree_preserving_swaps():
+    rng = random.Random(17)
+    for n in range(12, 17):
+        for seed in range(3):
+            base = nx.gnm_random_graph(n, 2 * n, seed=100 * n + seed)
+            swapped = base.copy()
+            nx.double_edge_swap(swapped, nswap=2, max_tries=1000, seed=seed)
+            g1, g2 = from_nx(base), from_nx(swapped)
+            assert sorted(g1.degrees()) == sorted(g2.degrees())
+            assert_search_agrees_with_networkx(g1, g2)
+            assert_search_agrees_with_networkx(g2, relabeled(g1, rng))
+
+
+def test_embedding_agrees_with_networkx_monomorphism():
+    rng = random.Random(29)
+    hosts = [from_nx(nx.random_regular_graph(3, 12, seed=1)), rook_graph(), shrikhande_graph()]
+    hosts += [random_graph(rng, max_vertices=10, p=0.4) for _ in range(12)]
+    for h in hosts:
+        for _ in range(8):
+            f = random_graph(rng, max_vertices=6, p=rng.choice([0.3, 0.5, 0.8]))
+            mapping = find_subgraph_embedding(f, h)
+            assert (mapping is not None) == GraphMatcher(to_nx(h), to_nx(f)).subgraph_is_monomorphic()
+            if mapping is not None:
+                assert sorted(mapping) == list(range(f.vertex_count))
+                assert len(set(mapping.values())) == f.vertex_count
+                assert edge_image(mapping, f) <= h.edges
 
 
 # ---------------------------------------------------------------------------

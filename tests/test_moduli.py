@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from statistics import median
 
 import numpy as np
@@ -13,6 +14,7 @@ from graphnorms import (
     absolute,
     add,
     combine,
+    complete,
     complete_bipartite,
     concentration_check,
     concentration_scan,
@@ -274,6 +276,27 @@ def test_every_scan_cell_matches_its_witness(kind):
 def test_scan_rejects_out_of_range_eps(c4):
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         modulus_scan(c4, "convexity", [1.5], [16], [0])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_block_count_below_one_rejected(c4, n):
+    with pytest.raises(ValueError, match="at least 1"):
+        modulus_scan(c4, "convexity", [0.5], [16, n], [0])
+    with pytest.raises(ValueError, match="at least 1"):
+        smoothness_witness(c4, 0.5, n, seed=0)
+
+
+def test_block_count_rejected_before_any_sample_when_a_step_would_not_fit():
+    # K4 contracts through a parts^3 step: 400 parts need 6.4e7 elements,
+    # while one 400-part sample would already take 1.28 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="contraction needs a step"):
+            modulus_scan(complete(4), "convexity", [0.5], [16, 400], [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_scan_csv_format(c4):
