@@ -8,9 +8,10 @@ vector, and vertices are summed out along a greedy low-width order.  A
 direct sum over all part assignments (`density_bruteforce`) serves as the
 independent correctness oracle.
 
-Disconnected graphs are always evaluated component by component and the
-component densities multiplied; this keeps the elimination width that of
-the largest component and mirrors the product rule for disjoint unions.
+There is one contraction path: every density is the product of the
+densities of the graph's components with edges, each contracted along its
+own cached greedy plan.  This keeps the elimination width that of the
+largest component and mirrors the product rule for disjoint unions.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def elimination_plan(g: Graph) -> EliminationPlan:
 #
 # So no step builds a parts^|U| array: a step allocates its output (at most
 # parts^width, times the batch) plus copies the size of its operands.  The
-# schedule is compiled once per (graph, order, batched) into closures over
+# schedule is compiled once per (component, batched) into closures over
 # precomputed permutations and einsum strings.
 #
 # Every edge array is exactly symmetric in its two vertex axes (a validated
@@ -312,46 +313,43 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
 
 class _Program(NamedTuple):
     """A compiled elimination: slots 0..n-1 hold the measure vector, the next
-    ones the edge arrays in `edges` order, and each step fills one more."""
+    ones the edge arrays in `edges` order, and each step fills one more; the
+    last step's output is the density."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     steps: tuple[tuple[Callable, tuple[int, ...], int], ...]
-    results: tuple[tuple[int, bool], ...]  # (slot, is a batch vector) left at the end
-    widest: int  # most vertex axes on a step output without the batch axis
-    widest_batched: int  # the same over outputs with it; -1 when there are none
-
-    def largest_output(self, parts: int, batch: int) -> int:
-        """Elements of the largest array a step allocates."""
-        plain = parts**self.widest
-        return max(plain, parts**self.widest_batched * batch) if self.widest_batched >= 0 else plain
+    widest: int  # most vertex axes on a step output; the batch axis is not counted
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _program(g: Graph, order: tuple[int, ...] | None, batched: bool) -> _Program:
-    """Compile the elimination of g along order (default: its greedy plan)."""
-    if order is None:
-        order = elimination_plan(g).order
+def _program(g: Graph, batched: bool) -> _Program:
+    """Compile the elimination of g along its greedy plan.
+
+    g must be connected and have an edge.  Eliminating a vertex keeps the
+    remaining vertices connected, so the last step's output is the only
+    factor left; and every vertex lies on a batched edge, so in a batched
+    program every step output carries the batch axis.
+    """
     n, edges = g.vertex_count, g.sorted_edges
     factors = [((v,), v) for v in range(n)]
     factors += [((_BATCH, *e) if batched else e, n + i) for i, e in enumerate(edges)]
     steps: list = []
-    widest = {False: 0, True: -1}
+    widest = 0
 
     def emit(run, ins, out_vars):
+        nonlocal widest
         slot = n + len(edges) + len(steps)
         steps.append((run, tuple(ins), slot))
-        has_batch = _BATCH in out_vars
-        widest[has_batch] = max(widest[has_batch], len(out_vars) - has_batch)
+        widest = max(widest, len(out_vars) - (_BATCH in out_vars))
         return out_vars, slot
 
     edge_slots = range(n, n + len(edges))
-    for v in order:
+    for v in elimination_plan(g).order:
         group = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         factors.append(_compile_step(v, group, emit, edge_slots))
-    results = tuple((slot, bool(vs)) for vs, slot in factors)
-    return _Program(n, edges, tuple(steps), results, widest[False], widest[True])
+    return _Program(n, edges, tuple(steps), widest)
 
 
 def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
@@ -360,28 +358,18 @@ def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
         slots[out] = run(*[slots[i] for i in ins])
         for i in ins:
             slots[i] = None  # free each intermediate as soon as it is used
-    result = None
-    for slot, vector in program.results:
-        piece = slots[slot] if vector else float(slots[slot])
-        result = piece if result is None else result * piece
-    return 1.0 if result is None else result
+    return slots[-1]
 
 
-def _contraction_jobs(h: Graph, parts: int, batch: int | None = None,
-                      order: Sequence[int] | None = None) -> list:
-    """The compiled programs that contract h at `parts` parts, each with the
-    names of its vertices in h.  Without an order, one per connected
-    component with edges, along its own cached plan; with one, h whole
-    along it.  Raises ValueError, before anything is allocated, when a step
-    would exceed CONTRACTION_LIMIT elements.
+def _contraction_jobs(h: Graph, parts: int, batch: int | None = None) -> list:
+    """The compiled programs that contract h at `parts` parts, one per
+    connected component with edges, each with the names of its vertices in
+    h.  Raises ValueError, before anything is allocated, when a step would
+    exceed CONTRACTION_LIMIT elements.
     """
-    batched = batch is not None
-    if order is not None:
-        jobs = [(_program(h, _check_order(h, order), batched), range(h.vertex_count))]
-    else:
-        jobs = [(_program(c.graph, None, batched), c.vertices) for c in edge_components(h)]
+    jobs = [(_program(c.graph, batch is not None), c.vertices) for c in edge_components(h)]
     for program, _ in jobs:
-        size = program.largest_output(parts, batch or 1)
+        size = parts**program.widest * (batch or 1)
         if size > CONTRACTION_LIMIT:
             raise ValueError(
                 f"contraction needs a step of {size} elements ({parts} parts), over the "
@@ -390,42 +378,32 @@ def _contraction_jobs(h: Graph, parts: int, batch: int | None = None,
     return jobs
 
 
-def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None,
-              order: Sequence[int] | None = None):
+def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None):
     """The one contraction core behind every density.
 
     edge_array(e) gives the value array of edge e of h: parts x parts, or
-    batch x parts x parts when `batch` is set.  The values of the programs
-    _contraction_jobs compiles (one per component without an order) are
-    multiplied.
+    batch x parts x parts when `batch` is set.  The values of the component
+    programs _contraction_jobs compiles are multiplied.
     """
     total = 1.0
-    for program, names in _contraction_jobs(h, measures.size, batch, order):
+    for program, names in _contraction_jobs(h, measures.size, batch):
         arrays = [edge_array((names[a], names[b])) for a, b in program.edges]
         total = total * _run(program, measures, arrays)
     return total
-
-
-def _check_order(g: Graph, order) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != list(range(g.vertex_count)):
-        raise ValueError("order must be a permutation of the graph's vertices")
-    return order
 
 
 # ---------------------------------------------------------------------------
 # Densities
 # ---------------------------------------------------------------------------
 
-def density(h: Graph, w: StepKernel, *, order: Sequence[int] | None = None) -> float:
+def density(h: Graph, w: StepKernel) -> float:
     """Homomorphism density t(h, w); 1.0 for edgeless h.
 
-    Any elimination `order` (a permutation of the vertices) gives the same
-    value up to floating rounding; by default each connected component uses
-    its own greedy plan and the component values are multiplied.
+    Each connected component with edges is contracted along its own cached
+    greedy plan, and the component values are multiplied.
     """
     values = w.values
-    return float(_contract(h, w.measures, lambda e: values, order=order))
+    return float(_contract(h, w.measures, lambda e: values))
 
 
 def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
@@ -444,8 +422,7 @@ def max_batch(h: Graph, parts: int) -> int:
     """Most kernels of `parts` parts that one density_many(h, ...) call can
     batch without a step over CONTRACTION_LIMIT.  At least 1, so a graph too
     wide even for one kernel still meets the guard's error."""
-    programs = [_program(c.graph, None, True) for c in edge_components(h)]
-    per_kernel = max((parts**p.widest_batched for p in programs if p.widest_batched >= 0), default=1)
+    per_kernel = max((parts ** _program(c.graph, True).widest for c in edge_components(h)), default=1)
     return max(1, CONTRACTION_LIMIT // per_kernel)
 
 
@@ -480,13 +457,14 @@ class Decoration:
         return Decoration(host, {e: w for e in host.sorted_edges})
 
 
-def decorated_density(d: Decoration, *, order: Sequence[int] | None = None) -> float:
-    """Edge-decorated density t(h, (W_e)); equals density(h, W) when all W_e = W."""
+def decorated_density(d: Decoration) -> float:
+    """Edge-decorated density t(h, (W_e)); equals density(h, W) when all W_e = W.
+    Contracted per component, like density."""
     h = d.host
     if h.edge_count == 0:
         return 1.0
     kernels = d.kernels
-    return float(_contract(h, d.part_measures, lambda e: kernels[e].values, order=order))
+    return float(_contract(h, d.part_measures, lambda e: kernels[e].values))
 
 
 # ---------------------------------------------------------------------------

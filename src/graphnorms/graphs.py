@@ -245,13 +245,10 @@ def _search(f: Graph, h: Graph, exact: bool) -> dict[int, int] | None:
         )
         placed[v] = True
         order.append(v)
-    mapping: dict[int, int] = {}
     everything = (1 << h.vertex_count) - 1
 
-    def extend(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
+    def candidates(v: int, used: int) -> Iterator[int]:
+        """The images v may take, lowest first, next to the mapped vertices."""
         degree = len(adjf[v])
         images = 0  # the images of v's mapped neighbours
         free = everything & ~used
@@ -268,13 +265,26 @@ def _search(f: Graph, h: Graph, exact: bool) -> dict[int, int] | None:
                     continue
             elif len(adjh[w]) < degree:
                 continue
-            mapping[v] = w
-            if extend(i + 1, used | 1 << w):
-                return True
-            del mapping[v]
-        return False
+            yield w
 
-    return dict(mapping) if extend(0, 0) else None
+    # Depth first on an explicit stack of candidate streams, one per vertex
+    # placed or being placed, so no graph size meets the recursion limit.
+    mapping: dict[int, int] = {}
+    used = 0
+    stack: list[Iterator[int]] = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(candidates(order[len(stack)], used))
+        w = next(stack[-1], None)
+        if w is not None:
+            mapping[order[len(stack) - 1]] = w
+            used |= 1 << w
+            continue
+        stack.pop()
+        if not stack:
+            return None
+        used ^= 1 << mapping.pop(order[len(stack) - 1])  # on to the previous vertex's next image
+    return mapping
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:

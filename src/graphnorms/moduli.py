@@ -266,10 +266,6 @@ def concentration_check(
     h: Graph, n: int, d: DiracMixture, trials: int, seed: int, tolerance: float = 0.1
 ) -> ExperimentRecord:
     """Deviation statistics of t(h, U) from mean(d)^e(h) at a single n."""
-    if h.edge_count == 0:
-        raise ValueError("need a graph with at least one edge")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     return concentration_scan(h, d, (n,), trials, seed, tolerance)
 
 
@@ -285,9 +281,16 @@ def concentration_scan(
 
     Passes when the median deviation decreases monotonically along the
     (strictly increasing) grid and the final median is within tolerance.
-    The tolerance is configuration, not a derived rate.
+    The tolerance is configuration, not a derived rate.  Raises ValueError
+    for an edgeless graph, fewer than 1 trial or an empty grid.
     """
     grid = tuple(n_grid)
+    if h.edge_count == 0:
+        raise ValueError("need a graph with at least one edge")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not grid:
+        raise ValueError("n_grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     target = d.mean ** h.edge_count

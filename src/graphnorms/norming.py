@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .graphs import (
     Component,
     Graph,
     average_degree,
-    components,
     edge_components,
     enumerate_subgraphs,
     find_isomorphism,
@@ -451,6 +450,14 @@ def distinguishing_kernel_search(
     return None
 
 
+@lru_cache(maxsize=64)
+def _first_nonisomorphic_component(g: Graph) -> Component | None:
+    """The first component with edges of g not isomorphic to the first one;
+    None when all are isomorphic (cached per graph)."""
+    comps = edge_components(g)
+    return next((c for c in comps[1:] if find_isomorphism(comps[0].graph, c.graph) is None), None)
+
+
 def component_analysis(h: Graph) -> tuple[list[CheckResult], list[Certificate]]:
     """Average-degree, edge-count and isomorphism comparison of the components.
 
@@ -460,7 +467,7 @@ def component_analysis(h: Graph) -> tuple[list[CheckResult], list[Certificate]]:
     g = remove_isolated_vertices(h)
     checks: list[CheckResult] = []
     certs: list[Certificate] = []
-    comps = components(g)
+    comps = edge_components(g)
     if len(comps) <= 1:
         label = "single component" if comps else "no edges"
         checks.append(CheckResult("component-average-degree", "pass", label))
@@ -501,11 +508,7 @@ def component_analysis(h: Graph) -> tuple[list[CheckResult], list[Certificate]]:
     else:
         checks.append(CheckResult("component-edge-count", "pass", f"all components have {edge_counts[0]} edges"))
 
-    mismatch = None
-    for comp in comps[1:]:
-        if find_isomorphism(comps[0].graph, comp.graph) is None:
-            mismatch = comp
-            break
+    mismatch = _first_nonisomorphic_component(g)
     if mismatch is None:
         checks.append(CheckResult("component-isomorphism", "pass", f"all {len(comps)} components isomorphic"))
     else:
@@ -585,8 +588,8 @@ def star_or_eulerian_check(h: Graph) -> list[CheckResult]:
         checks.append(CheckResult("star-or-eulerian", "pass", "no edges"))
         checks.append(CheckResult("edge-count-parity", "pass", "no edges"))
         return checks
-    comps = components(g)
-    all_isomorphic = all(find_isomorphism(comps[0].graph, c.graph) is not None for c in comps[1:])
+    comps = edge_components(g)
+    all_isomorphic = _first_nonisomorphic_component(g) is None
     rep = comps[0].graph
     shape_ok = is_star(rep) or is_eulerian(rep)
     if all_isomorphic and shape_ok:

@@ -376,6 +376,20 @@ def test_validate_rejects_an_isolated_vertex_as_a_component(tmp_path, capsys):
     assert "not components of the host" in out
 
 
+def test_validate_isomorphism_search_on_a_pair_of_large_graphs(tmp_path, capsys):
+    # One edge among 1100 vertices in each graph of the pair: the search
+    # places more vertices than Python's default recursion limit of 1000.
+    doc = json.loads((GOLDEN / "cert-p4k13-weak-0.json").read_text())
+    doc["pair"] = [{"vertices": 1100, "edges": [[0, 1]]}, {"vertices": 1100, "edges": [[1, 5]]}]
+    path = tmp_path / "large-pair.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "stored components are isomorphic after all" in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("lhs", "oops"), ("rhs", [1.0]), ("lhs", True), ("rhs", False), ("mode", "strong"), ("mode", None)],

@@ -23,6 +23,7 @@ from graphnorms import (
     density,
     density_bruteforce,
     density_many,
+    edge_components,
     elimination_plan,
 )
 from graphnorms.cli import main
@@ -37,11 +38,10 @@ def _graph(n: int, edges) -> Graph:
 K33 = complete_bipartite(3, 3)
 K33_MINUS_EDGE = _graph(6, sorted(K33.edges - {(0, 3)}))
 Q3 = _graph(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
-# Seven vertices; eliminating along this order meets the triangle pattern
-# abc,abd,acd, which has no split into two matmul sides.
-TRIANGLE_HOST = _graph(7, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6),
-                           (3, 4), (3, 6), (5, 6)])
-TRIANGLE_ORDER = (6, 4, 0, 3, 2, 1, 5)
+# Seven vertices, labeled so that the greedy plan meets the triangle
+# pattern abc,abd,acd, which has no split into two matmul sides.
+TRIANGLE_HOST = _graph(7, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4),
+                           (3, 5), (3, 6), (4, 6)])
 NAMED = [complete(4), complete_bipartite(2, 3), K33, K33_MINUS_EDGE, cycle(5), cycle(6), complete(5)]
 
 
@@ -65,6 +65,15 @@ def _values(draw, parts):
     entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=parts * parts, max_size=parts * parts))
     upper = np.triu(np.array(entries).reshape(parts, parts))
     return upper + np.triu(upper, 1).T
+
+
+@st.composite
+def relabeled(draw, graphs):
+    """A graph from `graphs` under a random vertex relabeling.  Relabeling
+    changes the greedy plan's tie-breaks, and so the compiled steps."""
+    h = draw(graphs)
+    perm = draw(st.permutations(range(h.vertex_count)))
+    return h.relabel(dict(enumerate(perm)))
 
 
 @st.composite
@@ -110,19 +119,15 @@ def _induced_width(g: Graph, order) -> int:
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_density_and_orders_match_bruteforce(data):
-    h = data.draw(small_graphs())
+    h = data.draw(relabeled(small_graphs()))
     (w,) = data.draw(kernel_families(1))
-    exact = density_bruteforce(h, w)
-    scale = _abs_scale(h, [w] * h.edge_count)
-    _close(density(h, w), exact, scale)
-    order = data.draw(st.permutations(range(h.vertex_count)))
-    _close(density(h, w, order=order), exact, scale)
+    _close(density(h, w), density_bruteforce(h, w), _abs_scale(h, [w] * h.edge_count))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_density_many_matches_bruteforce(data):
-    h = data.draw(small_graphs())
+    h = data.draw(relabeled(small_graphs()))
     kernels = data.draw(st.integers(1, 4).flatmap(kernel_families))
     batch = density_many(h, kernels)
     assert batch.shape == (len(kernels),)
@@ -133,25 +138,39 @@ def test_density_many_matches_bruteforce(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_decorated_density_matches_bruteforce(data):
-    h = data.draw(small_graphs().filter(lambda g: g.edge_count > 0))
+    h = data.draw(relabeled(small_graphs().filter(lambda g: g.edge_count > 0)))
     kernels = data.draw(kernel_families(h.edge_count))
     d = Decoration(h, dict(zip(h.sorted_edges, kernels)))
-    exact = decorated_density_bruteforce(d)
-    scale = _abs_scale(h, kernels)
-    _close(decorated_density(d), exact, scale)
-    order = data.draw(st.permutations(range(h.vertex_count)))
-    _close(decorated_density(d, order=order), exact, scale)
+    _close(decorated_density(d), decorated_density_bruteforce(d), _abs_scale(h, kernels))
+
+
+def _sized(run, sizes: list):
+    """run, recording the size of each array it returns in sizes."""
+    def sized_run(*arrays):
+        out = run(*arrays)
+        sizes.append(np.size(out))
+        return out
+
+    return sized_run
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_no_step_output_exceeds_the_width(data):
-    h = data.draw(small_graphs())
-    order = tuple(data.draw(st.permutations(range(h.vertex_count))))
-    width = max(_induced_width(h, order), 2)  # edge arrays are parts^2 already
-    for batched in (False, True):
-        program = core._program(h, order, batched)
-        assert program.largest_output(7, 5) <= 7**width * (5 if batched else 1)
+    # Every array a step returns, with the batch, against the induced width
+    # and against the size the cost guard counts.
+    h = data.draw(relabeled(small_graphs()))
+    parts = 3
+    for c in edge_components(h):
+        width = max(_induced_width(c.graph, elimination_plan(c.graph).order), 2)  # edge arrays are parts^2 already
+        for batch in (None, 5):
+            program = core._program(c.graph, batch is not None)
+            sizes: list = []
+            steps = tuple((_sized(run, sizes), ins, out) for run, ins, out in program.steps)
+            edge = np.ones((batch, parts, parts) if batch else (parts, parts))
+            core._run(program._replace(steps=steps), np.full(parts, 1 / parts), [edge] * c.graph.edge_count)
+            assert program.widest <= width
+            assert max(sizes) <= parts**program.widest * (batch or 1)
 
 
 class _Logged(np.ndarray):
@@ -171,28 +190,28 @@ class _Logged(np.ndarray):
 def test_no_step_reads_an_edge_array_with_its_vertex_axes_swapped(data):
     # Edge arrays are symmetric in their two vertex axes, so the compiled
     # steps read them in stored order.  Only the batch axis may move.
-    h = data.draw(small_graphs().filter(lambda g: g.edge_count > 0))
-    order = data.draw(st.none() | st.permutations(range(h.vertex_count)).map(tuple))
-    batched = data.draw(st.booleans())
+    h = data.draw(relabeled(small_graphs().filter(lambda g: g.edge_count > 0)))
     kernels = data.draw(kernel_families(h.edge_count))
-    shape = (2,) if batched else ()
-    program = core._program(h, order, batched)
-    log: list = []
-    arrays = []
-    for w in kernels:
-        a = np.broadcast_to(w.values, shape + w.values.shape).copy().view(_Logged)
-        a.log = log
-        arrays.append(a)
-    value = core._run(program, kernels[0].measures, arrays)
-    vertex_axes = (len(shape), len(shape) + 1)
-    assert [tuple(p for p in perm if p in vertex_axes) for perm in log] == [vertex_axes] * len(log)
-    plain = core._run(program, kernels[0].measures, [np.asarray(a) for a in arrays])
-    assert np.array_equal(np.asarray(value), np.asarray(plain))
+    for c in edge_components(h):
+        for batched in (False, True):
+            shape = (2,) if batched else ()
+            program = core._program(c.graph, batched)
+            log: list = []
+            arrays = []
+            for w in kernels[:c.graph.edge_count]:
+                a = np.broadcast_to(w.values, shape + w.values.shape).copy().view(_Logged)
+                a.log = log
+                arrays.append(a)
+            value = core._run(program, kernels[0].measures, arrays)
+            vertex_axes = (len(shape), len(shape) + 1)
+            assert [tuple(p for p in perm if p in vertex_axes) for perm in log] == [vertex_axes] * len(log)
+            plain = core._run(program, kernels[0].measures, [np.asarray(a) for a in arrays])
+            assert np.array_equal(np.asarray(value), np.asarray(plain))
 
 
-@pytest.mark.parametrize("host,order", [(Q3, None), (TRIANGLE_HOST, TRIANGLE_ORDER)])
-def test_triangle_pattern_steps_match_bruteforce(host, order):
-    program = core._program(host, order, False)
+@pytest.mark.parametrize("host", [Q3, TRIANGLE_HOST])
+def test_triangle_pattern_steps_match_bruteforce(host):
+    program = core._program(host, False)
     assert any(run.__qualname__.startswith("_einsum_step") for run, _, _ in program.steps)
     rng = np.random.default_rng(3)
     measures = np.array([0.2, 0.3, 0.5])
@@ -202,9 +221,9 @@ def test_triangle_pattern_steps_match_bruteforce(host, order):
         kernels.append(StepKernel(measures, upper + np.triu(upper, 1).T))
     scale = _abs_scale(host, kernels)
     w = kernels[0]
-    _close(density(host, w, order=order), density_bruteforce(host, w), _abs_scale(host, [w] * host.edge_count))
+    _close(density(host, w), density_bruteforce(host, w), _abs_scale(host, [w] * host.edge_count))
     d = Decoration(host, dict(zip(host.sorted_edges, kernels)))
-    _close(decorated_density(d, order=order), decorated_density_bruteforce(d), scale)
+    _close(decorated_density(d), decorated_density_bruteforce(d), scale)
     for k, value in zip(kernels[:4], density_many(host, kernels[:4])):
         _close(value, density_bruteforce(host, k), _abs_scale(host, [k] * host.edge_count))
 
@@ -215,10 +234,10 @@ def test_triangle_pattern_steps_match_bruteforce(host, order):
 
 def test_plans_and_programs_are_compiled_once():
     h = _graph(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
-    program = core._program(h, None, False)
-    assert core._program(_graph(6, sorted(h.edges)), None, False) is program
+    program = core._program(h, False)
+    assert core._program(_graph(6, sorted(h.edges)), False) is program
     assert elimination_plan(h) is elimination_plan(_graph(6, sorted(h.edges)))
-    assert core._program(h, None, True) is not program
+    assert core._program(h, True) is not program
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +297,6 @@ def test_cost_guard_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(ValueError, match="limit"):
-        density(complete(8), w, order=range(8))
     with pytest.raises(ValueError, match="limit"):
         decorated_density(Decoration.uniform(complete(8), w))
 

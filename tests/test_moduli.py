@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 
 from graphnorms import (
     DiracMixture,
+    Graph,
     absolute,
     add,
     combine,
@@ -69,6 +70,20 @@ def test_concentration_d4_target(c4):
 def test_concentration_grid_must_increase(c4):
     with pytest.raises(ValueError, match="increasing"):
         concentration_scan(c4, dirac_d1(), (32, 16), trials=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "edges,n_grid,trials,match",
+    [(True, (16, 32), 0, "trials"), (True, (), 2, "n_grid"), (False, (16, 32), 2, "edge")],
+    ids=["no-trials", "empty-grid", "edgeless"],
+)
+def test_concentration_rejects_degenerate_inputs(c4, edges, n_grid, trials, match):
+    h = c4 if edges else Graph(4, frozenset())
+    with pytest.raises(ValueError, match=match):
+        concentration_scan(h, dirac_d1(), n_grid, trials=trials, seed=0)
+    if n_grid:
+        with pytest.raises(ValueError, match=match):
+            concentration_check(h, n_grid[0], dirac_d1(), trials=trials, seed=0)
 
 
 # ---------------------------------------------------------------------------

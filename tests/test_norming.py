@@ -405,6 +405,25 @@ def test_semi_mode_path_is_inconclusive_without_certificate(p4):
         assert v.overall == REFUTED
 
 
+def test_semi_verdict_searches_each_component_pair_once(monkeypatch, c4, c6):
+    # component_analysis and star_or_eulerian_check read one cached answer.
+    norming._first_nonisomorphic_component.cache_clear()
+    searched = []
+    search = norming.find_isomorphism
+
+    def counted(g1, g2):
+        searched.append((g1, g2))
+        return search(g1, g2)
+
+    monkeypatch.setattr(norming, "find_isomorphism", counted)
+    v = full_verdict(disjoint_union(c4, c4, c6), mode="semi", trials=20, seed=0)
+    assert v.overall == REFUTED
+    statuses = {c.name: c.status for c in v.checks}
+    assert statuses["component-isomorphism"] == "fail"
+    assert statuses["star-or-eulerian"] == "fail"
+    assert searched == [(c4, c4), (c4, c6)]
+
+
 def test_verdict_json_is_deterministic(c4, c6):
     h = disjoint_union(c4, c6)
     a = json.dumps(verdict_to_json(full_verdict(h, trials=40, seed=3)))
