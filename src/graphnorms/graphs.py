@@ -7,6 +7,7 @@ safe to use concurrently.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,6 +223,30 @@ def remove_isolated_vertices(g: Graph) -> Graph:
 # Isomorphism and subgraph embedding
 # ---------------------------------------------------------------------------
 
+def _placement_order(adj: list[set[int]]) -> list[int]:
+    """Most-constrained-first order for _search: next comes the vertex with
+    the most placed neighbours, then the one of highest degree, then the
+    lowest.  A heap holds one key per vertex and per gain of a placed
+    neighbour; a vertex's older keys sort after its newest, so they surface
+    only once it is placed and are skipped."""
+    placed = [False] * len(adj)
+    links = [0] * len(adj)  # placed neighbours
+    heap = [(0, -len(a), v) for v, a in enumerate(adj)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if placed[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in adj[v]:
+            if not placed[u]:
+                links[u] += 1
+                heapq.heappush(heap, (-links[u], -len(adj[u]), u))
+    return order
+
+
 def _search(f: Graph, h: Graph, exact: bool) -> dict[int, int] | None:
     """An injective map from V(f) into V(h) sending every edge of f to an
     edge of h, by backtracking; None when there is none.
@@ -234,17 +259,7 @@ def _search(f: Graph, h: Graph, exact: bool) -> dict[int, int] | None:
     """
     adjf, adjh = adjacency(f), adjacency(h)
     nbrs = [sum(1 << x for x in a) for a in adjh]  # neighbour sets as bitmasks
-    # Most-constrained-first order: vertices adjacent to already-placed ones
-    # come early, then high degree.
-    placed = [False] * f.vertex_count
-    order: list[int] = []
-    for _ in range(f.vertex_count):
-        v = min(
-            (u for u in range(f.vertex_count) if not placed[u]),
-            key=lambda u: (-sum(placed[w] for w in adjf[u]), -len(adjf[u]), u),
-        )
-        placed[v] = True
-        order.append(v)
+    order = _placement_order(adjf)
     everything = (1 << h.vertex_count) - 1
 
     def candidates(v: int, used: int) -> Iterator[int]:

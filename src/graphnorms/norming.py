@@ -30,6 +30,7 @@ from .graphs import (
     find_subgraph_embedding,
     graph_from_json,
     graph_to_json,
+    is_connected,
     is_eulerian,
     is_star,
     remove_isolated_vertices,
@@ -96,7 +97,8 @@ class DominationReport:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Machine-checkable counterexample: payload plus both inequality sides."""
+    """Machine-checkable counterexample: payload plus both inequality sides.
+    The row of `kind` in _KINDS names the payload fields it carries."""
 
     kind: str
     graph: Graph
@@ -299,15 +301,8 @@ def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> C
         d = structured[trial] if trial < len(structured) else families[trial % len(families)](h, seed, trial)
         report = holder_check(h, d, mode)
         if report.ratio > 1.0 + SEARCH_TOL:
-            return Certificate(
-                kind=HOLDER_VIOLATION,
-                graph=h,
-                mode=mode,
-                lhs=report.lhs,
-                rhs=report.rhs,
-                decoration=d,
-                note=f"found at trial {trial} of {trials} (seed {seed})",
-            )
+            note = f"found at trial {trial} of {trials} (seed {seed})"
+            return Certificate(HOLDER_VIOLATION, h, mode, report.lhs, report.rhs, decoration=d, note=note)
     return None
 
 
@@ -340,16 +335,7 @@ def _half_square_certificate(h: Graph, f: Graph, note: str) -> Certificate:
     half-square kernel, t(f, U) = 2^-v(f) beats t(h, U)^(e(f)/e(h))."""
     u = half_square_kernel()
     lhs, rhs = _domination_sides(f, h, u)
-    return Certificate(
-        kind=AVG_DEGREE_VIOLATION,
-        graph=h,
-        mode="weak",
-        lhs=lhs,
-        rhs=rhs,
-        kernel=u,
-        subgraph=f,
-        note=note,
-    )
+    return Certificate(AVG_DEGREE_VIOLATION, h, "weak", lhs, rhs, kernel=u, subgraph=f, note=note)
 
 
 def subgraph_avg_degree_check(
@@ -411,15 +397,8 @@ def edge_mismatch_certificate(h: Graph) -> Certificate:
     smallest = min(comps, key=lambda c: (c.graph.edge_count, c.vertices))
     decoration = _component_decoration(h, smallest)
     report = holder_check(h, decoration, "weak")
-    return Certificate(
-        kind=EDGE_COUNT_MISMATCH,
-        graph=h,
-        mode="weak",
-        lhs=report.lhs,
-        rhs=report.rhs,
-        decoration=decoration,
-        note=f"component edge counts {edge_counts}; decorated the {edge_counts[0]}-edge component",
-    )
+    note = f"component edge counts {edge_counts}; decorated the {edge_counts[0]}-edge component"
+    return Certificate(EDGE_COUNT_MISMATCH, h, "weak", report.lhs, report.rhs, decoration=decoration, note=note)
 
 
 def distinguishing_kernel_search(
@@ -431,12 +410,16 @@ def distinguishing_kernel_search(
     kernel is tried first (it separates any two edge counts); random block
     kernels follow.
     """
-    from .graphs import is_connected
-
     if not (is_connected(f1) and is_connected(f2)):
         raise ValueError("both graphs must be connected")
     if find_isomorphism(f1, f2) is not None:
         raise ValueError("graphs are isomorphic; no kernel can distinguish them")
+    return _distinguishing_kernel(f1, f2, trials, seed)
+
+
+def _distinguishing_kernel(f1: Graph, f2: Graph, trials: int, seed: int) -> StepKernel | None:
+    """distinguishing_kernel_search without its checks, for callers that
+    already know f1 and f2 to be connected and non-isomorphic."""
 
     def candidates():
         yield constant_kernel(0.5)
@@ -527,22 +510,13 @@ def _nonisomorphism_certificate(g: Graph, f1: Graph, f2: Graph) -> Certificate:
     kernel = None
     lhs = rhs = None
     if f1.edge_count == f2.edge_count:
-        kernel = distinguishing_kernel_search(f1, f2, trials=200, seed=derive_seed("noniso", g.vertex_count))
+        kernel = _distinguishing_kernel(f1, f2, trials=200, seed=derive_seed("noniso", g.vertex_count))
         if kernel is not None:
             lhs, rhs = _densest_component_sides(g, kernel)
             if not _violates(lhs, rhs, CHECK_TOL):
                 kernel, lhs, rhs = None, None, None
-    return Certificate(
-        kind=COMPONENT_NONISOMORPHISM,
-        graph=g,
-        mode="weak",
-        lhs=lhs,
-        rhs=rhs,
-        kernel=kernel,
-        pair=(f1, f2),
-        note="non-isomorphic components"
-        + ("; distinguishing kernel attached" if kernel is not None else ""),
-    )
+    note = "non-isomorphic components" + ("; distinguishing kernel attached" if kernel is not None else "")
+    return Certificate(COMPONENT_NONISOMORPHISM, g, "weak", lhs, rhs, kernel=kernel, pair=(f1, f2), note=note)
 
 
 def domination_check(f: Graph, h: Graph, w: StepKernel) -> DominationReport:
@@ -561,16 +535,8 @@ def domination_check(f: Graph, h: Graph, w: StepKernel) -> DominationReport:
     violated = _violates(lhs, rhs, CHECK_TOL)
     cert = None
     if violated:
-        cert = Certificate(
-            kind=DENSITY_DOMINATION_VIOLATION,
-            graph=h,
-            mode="weak",
-            lhs=lhs,
-            rhs=rhs,
-            kernel=w,
-            subgraph=f,
-            note="subgraph density exceeds the host bound",
-        )
+        note = "subgraph density exceeds the host bound"
+        cert = Certificate(DENSITY_DOMINATION_VIOLATION, h, "weak", lhs, rhs, kernel=w, subgraph=f, note=note)
     return DominationReport(lhs=lhs, rhs=rhs, violated=violated, certificate=cert)
 
 
@@ -691,44 +657,50 @@ def _consistent(stored: float, recomputed: float) -> bool:
     return abs(stored - recomputed) <= CHECK_TOL * max(1.0, abs(stored), abs(recomputed))
 
 
-def _holder_sides(cert: Certificate) -> tuple[float, float] | str:
-    if cert.decoration is None or cert.lhs is None or cert.rhs is None:
-        return "certificate is missing its decoration payload"
+def _holder_sides(cert: Certificate) -> tuple[float, float]:
     report = holder_check(cert.graph, cert.decoration, cert.mode)
     return report.lhs, report.rhs
 
 
 def _subgraph_sides(cert: Certificate) -> tuple[float, float] | str:
-    if cert.kernel is None or cert.subgraph is None or cert.lhs is None or cert.rhs is None:
-        return "certificate is missing its kernel payload"
-    if find_subgraph_embedding(cert.subgraph, cert.graph) is None:
+    # Isolated vertices embed anywhere once the vertex counts allow, so the
+    # search skips them: however many a certificate declares cost nothing.
+    f, h = cert.subgraph, cert.graph
+    if f.vertex_count > h.vertex_count or (
+        find_subgraph_embedding(remove_isolated_vertices(f), remove_isolated_vertices(h)) is None
+    ):
         return "stored subgraph does not embed into the host"
-    return _domination_sides(cert.subgraph, cert.graph, cert.kernel)
+    return _domination_sides(f, h, cert.kernel)
 
 
 def _component_sides(cert: Certificate) -> tuple[float, float] | str | None:
-    if cert.pair is None:
-        return "certificate is missing its component pair"
-    if find_isomorphism(*cert.pair) is not None:
+    f1, f2 = cert.pair
+    # with equal vertex counts, the isolated vertices pair up and the
+    # graphs without them decide
+    if f1.vertex_count == f2.vertex_count and (
+        find_isomorphism(remove_isolated_vertices(f1), remove_isolated_vertices(f2)) is not None
+    ):
         return "stored components are isomorphic after all"
     hosted = [c.graph for c in edge_components(cert.graph)]
     if not all(any(find_isomorphism(f, c) is not None for c in hosted) for f in cert.pair):
         return "stored components are not components of the host"
     if cert.kernel is None:
         return None  # non-isomorphic components refute on their own
-    if cert.lhs is None or cert.rhs is None:
-        return "kernel attached but inequality sides missing"
     return _densest_component_sides(cert.graph, cert.kernel)
 
 
-# certificate kind -> recomputed (lhs, rhs), an error for a bad payload, or
-# None when the payload carries no inequality
-_SIDES = {
-    HOLDER_VIOLATION: _holder_sides,
-    EDGE_COUNT_MISMATCH: _holder_sides,
-    AVG_DEGREE_VIOLATION: _subgraph_sides,
-    DENSITY_DOMINATION_VIOLATION: _subgraph_sides,
-    COMPONENT_NONISOMORPHISM: _component_sides,
+_VIOLATION = "violation reproduced: {0!r} > {1!r}"
+
+# certificate kind -> (payload fields it must carry, sides function, detail
+# of a passed validation formatted with the sides).  A sides function gets
+# that payload and returns the recomputed (lhs, rhs), an error for a bad
+# payload, or None when the payload carries no inequality.
+_KINDS = {
+    HOLDER_VIOLATION: (("decoration",), _holder_sides, _VIOLATION),
+    EDGE_COUNT_MISMATCH: (("decoration",), _holder_sides, _VIOLATION),
+    AVG_DEGREE_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _VIOLATION),
+    DENSITY_DOMINATION_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _VIOLATION),
+    COMPONENT_NONISOMORPHISM: (("pair",), _component_sides, "components re-verified non-isomorphic"),
 }
 
 
@@ -742,20 +714,24 @@ def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[
     """
     if not (math.isfinite(margin) and margin >= CHECK_TOL):
         raise ValueError(f"margin {margin} must be finite and at least {CHECK_TOL}")
-    if cert.kind not in _SIDES:
+    if cert.kind not in _KINDS:
         return False, f"unknown certificate kind {cert.kind!r}"
-    sides = _SIDES[cert.kind](cert)
+    payload, sides_of, detail = _KINDS[cert.kind]
+    for field in payload:
+        if getattr(cert, field) is None:
+            return False, f"certificate is missing its {field} payload"
+    sides = sides_of(cert)
     if isinstance(sides, str):
         return False, sides
     if sides is not None:
+        if cert.lhs is None or cert.rhs is None:
+            return False, "certificate is missing its inequality sides"
         lhs, rhs = sides
         if not (_consistent(cert.lhs, lhs) and _consistent(cert.rhs, rhs)):
             return False, f"stored sides ({cert.lhs!r}, {cert.rhs!r}) do not reproduce ({lhs!r}, {rhs!r})"
         if not _violates(lhs, rhs, margin):
             return False, f"inequality not violated at margin {margin}"
-    if cert.kind == COMPONENT_NONISOMORPHISM:
-        return True, "components re-verified non-isomorphic"
-    return True, f"violation reproduced: {lhs!r} > {rhs!r}"
+    return True, detail.format(*(sides or ()))
 
 
 def decoration_to_json(d: Decoration) -> dict:
@@ -776,20 +752,28 @@ def decoration_from_json(obj: dict) -> Decoration:
     return Decoration(host, dict(zip(edges, kernels)))
 
 
+# payload field -> (to_json, from_json), in the order certificate JSON lists them
+_PAYLOAD = {
+    "decoration": (decoration_to_json, decoration_from_json),
+    "kernel": (kernel_to_json, kernel_from_json),
+    "subgraph": (graph_to_json, graph_from_json),
+    "pair": (
+        lambda pair: [graph_to_json(pair[0]), graph_to_json(pair[1])],
+        lambda obj: (graph_from_json(obj[0]), graph_from_json(obj[1])),
+    ),
+}
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     out: dict = {"kind": cert.kind, "mode": cert.mode, "graph": graph_to_json(cert.graph)}
     if cert.lhs is not None:
         out["lhs"] = cert.lhs
     if cert.rhs is not None:
         out["rhs"] = cert.rhs
-    if cert.decoration is not None:
-        out["decoration"] = decoration_to_json(cert.decoration)
-    if cert.kernel is not None:
-        out["kernel"] = kernel_to_json(cert.kernel)
-    if cert.subgraph is not None:
-        out["subgraph"] = graph_to_json(cert.subgraph)
-    if cert.pair is not None:
-        out["pair"] = [graph_to_json(cert.pair[0]), graph_to_json(cert.pair[1])]
+    for key, (to_json, _) in _PAYLOAD.items():
+        value = getattr(cert, key)
+        if value is not None:
+            out[key] = to_json(value)
     if cert.note:
         out["note"] = cert.note
     return out
@@ -811,22 +795,19 @@ def _json_side(obj: dict, key: str) -> float | None:
 def certificate_from_json(obj: dict) -> Certificate:
     if not isinstance(obj, dict) or "kind" not in obj or "graph" not in obj:
         raise ValueError("certificate JSON must have 'kind' and 'graph' fields")
+    if not isinstance(obj["kind"], str):
+        raise ValueError(f"'kind' must be a string, got {obj['kind']!r}")
     mode = obj.get("mode", "weak")
     _require_mode(mode)
-    pair = None
-    if "pair" in obj:
-        pair = (graph_from_json(obj["pair"][0]), graph_from_json(obj["pair"][1]))
+    payload = {key: from_json(obj[key]) for key, (_, from_json) in _PAYLOAD.items() if key in obj}
     return Certificate(
         kind=obj["kind"],
         graph=graph_from_json(obj["graph"]),
         mode=mode,
         lhs=_json_side(obj, "lhs"),
         rhs=_json_side(obj, "rhs"),
-        decoration=decoration_from_json(obj["decoration"]) if "decoration" in obj else None,
-        kernel=kernel_from_json(obj["kernel"]) if "kernel" in obj else None,
-        subgraph=graph_from_json(obj["subgraph"]) if "subgraph" in obj else None,
-        pair=pair,
         note=obj.get("note", ""),
+        **payload,
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphnorms
 from graphnorms import (
@@ -243,18 +247,25 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def test_moduli_huge_block_count_rejected_before_allocating(tmp_path, c4):
-    # One 20000-part sample is a 2.98 GiB array.  The child runs under a
-    # 1 GiB address-space cap, so a missing guard fails there with a
-    # MemoryError instead of exhausting the machine.
+def _run_capped(argv):
+    """Run main(argv) in a child under a 1 GiB address-space cap, so a
+    missing guard fails there with a MemoryError instead of exhausting the
+    machine; returns the child, its exit code and its traced peak."""
     src = str(Path(graphnorms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["moduli", write_graph(tmp_path, c4), "--kind", "convexity", "--n-grid", "16,20000", "--seeds", "0"]
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_SCRIPT, *argv],
         capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
     )
-    code, peak = map(int, proc.stdout.split())
+    assert proc.stdout, proc.stderr  # a child that raised prints no exit code
+    code, peak = map(int, proc.stdout.splitlines()[-1].split())
+    return proc, code, peak
+
+
+def test_moduli_huge_block_count_rejected_before_allocating(tmp_path, c4):
+    # One 20000-part sample is a 2.98 GiB array.
+    argv = ["moduli", write_graph(tmp_path, c4), "--kind", "convexity", "--n-grid", "16,20000", "--seeds", "0"]
+    proc, code, peak = _run_capped(argv)
     assert code == 2
     assert "kernel values, over the" in proc.stderr
     assert peak < 2**20
@@ -391,8 +402,37 @@ def test_validate_isomorphism_search_on_a_pair_of_large_graphs(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "name,edit,code,detail",
+    [
+        # the host of C4 in C4+C6 declares 10^8 vertices
+        ("cert-c4c6-domination.json", {"graph": {"vertices": 10**8}}, 0, "violation reproduced"),
+        # a pair of 10^8-vertex graphs with one edge each
+        (
+            "cert-p4k13-weak-0.json",
+            {"pair": [{"vertices": 10**8, "edges": [[0, 1]]}, {"vertices": 10**8, "edges": [[1, 5]]}]},
+            3,
+            "stored components are isomorphic after all",
+        ),
+    ],
+)
+def test_validate_isolated_vertices_cost_nothing(tmp_path, name, edit, code, detail):
+    doc = json.loads((GOLDEN / name).read_text())
+    for key, value in edit.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    proc, exit_code, peak = _run_capped(["validate", str(path)])
+    assert exit_code == code
+    assert f"detail = {detail}" in proc.stdout
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
     "field,value",
-    [("lhs", "oops"), ("rhs", [1.0]), ("lhs", True), ("rhs", False), ("mode", "strong"), ("mode", None)],
+    [
+        ("lhs", "oops"), ("rhs", [1.0]), ("lhs", True), ("rhs", False), ("mode", "strong"), ("mode", None),
+        ("kind", ["holder-violation"]), ("kind", {"holder-violation": 1}),
+    ],
 )
 def test_validate_rejects_bad_field_types(tmp_path, capsys, c4, c6, field, value):
     cert_path = _fresh_certificate(tmp_path, capsys, c4, c6)
@@ -404,6 +444,70 @@ def test_validate_rejects_bad_field_types(tmp_path, capsys, c4, c6, field, value
     assert code == 2
     assert f"{field} must be" in captured.err.replace("'", "")
     assert captured.out == ""
+
+
+_GOLDEN_CERTS = sorted(p.name for p in GOLDEN.glob("cert-*.json"))
+_DELETE = "delete the field"
+# what replaces the field: every JSON type, an integer beyond the float
+# range, and a graph with a self-loop
+_SWAPS = [None, True, "oops", [1.0], {"oops": 1}, 10**400, {"vertices": 2, "edges": [[1, 1]]}]
+
+
+def _field_paths(node):
+    """A field of a JSON document, at any depth, as the path of keys to it."""
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+
+    def deeper(key):
+        if not isinstance(node[key], (dict, list)) or not node[key]:
+            return st.just((key,))
+        return st.one_of(st.just((key,)), _field_paths(node[key]).map(lambda path: (key,) + path))
+
+    return st.sampled_from(keys).flatmap(deeper)
+
+
+_GOLDEN_FIELDS = st.sampled_from(_GOLDEN_CERTS).flatmap(
+    lambda name: st.tuples(st.just(name), _field_paths(json.loads((GOLDEN / name).read_text())))
+)
+
+
+@contextlib.contextmanager
+def _address_space_headroom(extra):
+    """Cap this process's address space at its current size plus extra, so
+    a runaway allocation raises MemoryError instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    in_use = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = in_use + extra if hard == resource.RLIM_INFINITY else min(in_use + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_GOLDEN_FIELDS, st.sampled_from([_DELETE, *_SWAPS]))
+@example(("cert-c4c6-weak-0.json", ("kind",)), ["holder-violation"])
+@example(("cert-p4k13-weak-0.json", ("kind",)), {"oops": 1})
+@example(("cert-c4c6-domination.json", ("graph", "vertices")), 10**400)
+@example(("cert-k4k3-weak-1.json", ("graph", "vertices")), 10**400)
+def test_validate_survives_any_one_field_mutation(tmp_path_factory, field, swap):
+    # Exit 0 or 3 when the certificate still parses, 2 when it does not;
+    # never a traceback, and no allocation that grows with a declared count.
+    name, path = field
+    doc = json.loads((GOLDEN / name).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if swap == _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = swap
+    cert = tmp_path_factory.mktemp("fuzz") / name
+    cert.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with _address_space_headroom(2**30):
+            code = main(["validate", str(cert)])
+    assert code in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from graphnorms import (
     remove_isolated_vertices,
     star,
 )
+from graphnorms import graphs
 from conftest import random_graph
 
 
@@ -212,6 +213,30 @@ def test_agrees_with_brute_force_on_small_pairs():
         else:
             g2 = random_graph(rng, max_vertices=6, p=rng.choice([0.3, 0.5, 0.7]))
         assert are_isomorphic(g1, g2) == brute_force_isomorphic(g1, g2)
+
+
+def _min_scan_order(adj):
+    """The search's vertex order by definition: at each step, the unplaced
+    vertex with the most placed neighbours, then the highest degree, then
+    the lowest label."""
+    placed = [False] * len(adj)
+    order = []
+    for _ in adj:
+        v = min(
+            (u for u in range(len(adj)) if not placed[u]),
+            key=lambda u: (-sum(placed[w] for w in adj[u]), -len(adj[u]), u),
+        )
+        placed[v] = True
+        order.append(v)
+    return order
+
+
+def test_placement_order_matches_the_min_scan():
+    rng = random.Random(29)
+    for _ in range(2000):
+        g = random_graph(rng, max_vertices=14, p=rng.choice([0.1, 0.3, 0.5, 0.8]))
+        adj = graphs.adjacency(g)
+        assert graphs._placement_order(adj) == _min_scan_order(adj), g
 
 
 def test_degree_blind_pairs_resolved_by_backtracking():

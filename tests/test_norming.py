@@ -424,6 +424,24 @@ def test_semi_verdict_searches_each_component_pair_once(monkeypatch, c4, c6):
     assert searched == [(c4, c4), (c4, c6)]
 
 
+def test_weak_verdict_searches_a_nonisomorphic_pair_once(monkeypatch, p4):
+    # The distinguishing kernel is drawn without searching the pair again.
+    norming._first_nonisomorphic_component.cache_clear()
+    k13 = star(3)
+    searched = []
+    search = norming.find_isomorphism
+
+    def counted(g1, g2):
+        searched.append((g1, g2))
+        return search(g1, g2)
+
+    monkeypatch.setattr(norming, "find_isomorphism", counted)
+    v = full_verdict(disjoint_union(p4, k13), trials=20, seed=0)
+    assert v.overall == REFUTED
+    assert any(c.kind == COMPONENT_NONISOMORPHISM and c.kernel is not None for c in v.certificates)
+    assert searched == [(p4, k13)]
+
+
 def test_verdict_json_is_deterministic(c4, c6):
     h = disjoint_union(c4, c6)
     a = json.dumps(verdict_to_json(full_verdict(h, trials=40, seed=3)))
