@@ -3,6 +3,13 @@
 Graphs are immutable values: a vertex count plus a set of normalized edges
 (u, v) with u < v.  All helpers are pure functions, so everything here is
 safe to use concurrently.
+
+`Graph(...)`, `Graph.from_edges`, `parse_edge_list` and `graph_from_json`
+check every edge.  Three internal builders skip those checks through the
+private `_graph`: `enumerate_subgraphs`, `edge_components` and
+`remove_isolated_vertices`.  Each takes edges of a valid graph and relabels
+their endpoints onto the sorted list of the vertices they touch, and that
+relabelling keeps u < v and lands in range.
 """
 
 from __future__ import annotations
@@ -77,6 +84,14 @@ class Graph:
         return Graph.from_edges(((mapping[u], mapping[v]) for u, v in self.edges), vertex_count=n)
 
 
+def _graph(vertex_count: int, edges: frozenset[tuple[int, int]]) -> Graph:
+    """A graph from edges already normalized and in range, unchecked."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def adjacency(g: Graph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
     for u, v in g.edges:
@@ -138,12 +153,21 @@ def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise GraphParseError("graph JSON must have 'vertices' and 'edges' fields")
     n = obj["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # a bool is an int to isinstance
         raise GraphParseError("'vertices' must be a non-negative integer")
     try:
-        return Graph.from_edges(((int(u), int(v)) for u, v in obj["edges"]), vertex_count=n)
+        return Graph.from_edges(map(_json_edge, obj["edges"]), vertex_count=n)
     except (TypeError, ValueError) as exc:
         raise GraphParseError(f"bad edge list in graph JSON: {exc}") from None
+
+
+def _json_edge(pair) -> tuple[int, int]:
+    """The endpoints of a JSON edge [u, v]; each must be a JSON integer,
+    so neither 0.9 nor "0" nor true stands for a vertex."""
+    u, v = pair
+    if type(u) is not int or type(v) is not int:
+        raise GraphParseError(f"edge {pair!r} must join two integer vertices")
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +218,7 @@ def edge_components(g: Graph) -> tuple[Component, ...]:
     for edges in groups.values():
         members = sorted({v for e in edges for v in e})
         index = {v: i for i, v in enumerate(members)}
-        sub = Graph.from_edges(((index[u], index[v]) for u, v in edges), vertex_count=len(members))
+        sub = _graph(len(members), frozenset((index[u], index[v]) for u, v in edges))
         out.append(Component(sub, tuple(members)))
     return tuple(sorted(out, key=lambda c: c.vertices[0]))
 
@@ -216,7 +240,7 @@ def remove_isolated_vertices(g: Graph) -> Graph:
     """Drop degree-zero vertices and relabel the rest, keeping all edges."""
     support = sorted({x for e in g.edges for x in e})
     index = {v: i for i, v in enumerate(support)}
-    return Graph.from_edges(((index[u], index[v]) for u, v in g.edges), vertex_count=len(support))
+    return _graph(len(support), frozenset((index[u], index[v]) for u, v in g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +381,7 @@ def enumerate_subgraphs(g: Graph, max_vertices: int) -> Iterator[Graph]:
         if len(support) > max_vertices:
             continue
         index = {v: i for i, v in enumerate(support)}
-        yield Graph.from_edges(((index[u], index[v]) for u, v in chosen), vertex_count=len(support))
+        yield _graph(len(support), frozenset((index[u], index[v]) for u, v in chosen))
 
 
 def _require_connected_no_isolated(g: Graph, what: str) -> None:

@@ -5,20 +5,35 @@ symmetric matrix of block values.  Values may leave [0, 1]: being a
 graphon is a predicate here, not an invariant.  Kernels are immutable
 after construction; the backing arrays are locked read-only.
 
-Outside data always goes through the full validation of `StepKernel(...)`.
-The pointwise algebra (`add`, `subtract`, `scale`, `absolute`, `combine`,
-`ones_like`) instead builds derived kernels: they share their operand's
-read-only measures array, take the freshly computed values array without
-copying it, and check only finiteness.  Elementwise operations on exactly
-symmetric arrays of one shape are exactly symmetric, and the measures were
-validated with the operand.
+Outside data always goes through the full validation of `StepKernel(...)`:
+`kernel_from_json` in particular keeps every check.  Internal builders
+whose arrays are valid by construction go through the private `_trusted`
+instead, which locks the arrays without copying them and checks only that
+the values are finite, since a computed value can overflow:
+
+- the pointwise algebra (`add`, `subtract`, `scale`, `absolute`, `combine`,
+  `ones_like`), through `_derived`: elementwise operations on exactly
+  symmetric arrays of one shape are exactly symmetric, and the result
+  shares its operand's validated measures array;
+- `sample_block_random` and `moduli._witness_sample`: n equal parts from the
+  cached `_equal_parts(n)`, and values mirrored across the diagonal;
+- `special_kernel`: dyadic measures 2^-1, ..., 2^-n, 2^-n, whose exact sum
+  is 1 (an underflowing 2^-n is still rejected), on a diagonal matrix;
+- the Hoelder search's indicator family: measures (theta, 1 - theta) with
+  theta in [0.1, 0.9], on fixed symmetric 0/1 patterns;
+- its rank-one family: n equal parts, and values v v^T, exactly symmetric
+  because floating-point products commute.
+
+Kernels of one builder that share a measures array pass `same_partition`
+by identity, so a `Decoration` of them is checked without comparing arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -66,16 +81,33 @@ class StepKernel:
         return self.measures is other.measures or np.array_equal(self.measures, other.measures)
 
 
+def _trusted(measures: np.ndarray, values: np.ndarray) -> StepKernel:
+    """A kernel from float64 arrays that are valid by construction: positive
+    measures summing to 1 and an exactly symmetric values matrix to match.
+    Both are locked, not copied; only the values' finiteness is checked."""
+    if not np.isfinite(values).all():
+        raise ValueError("measures and values must be finite")
+    measures.setflags(write=False)
+    values.setflags(write=False)
+    out = object.__new__(StepKernel)
+    object.__setattr__(out, "measures", measures)
+    object.__setattr__(out, "values", values)
+    return out
+
+
 def _derived(w: StepKernel, values: np.ndarray) -> StepKernel:
     """A kernel on w's partition whose values were just computed pointwise
     from validated kernels of that partition; values is locked, not copied."""
-    if not np.isfinite(values).all():
-        raise ValueError("measures and values must be finite")
-    values.setflags(write=False)
-    out = object.__new__(StepKernel)
-    object.__setattr__(out, "measures", w.measures)
-    object.__setattr__(out, "values", values)
-    return out
+    return _trusted(w.measures, values)
+
+
+@lru_cache(maxsize=256)
+def _equal_parts(n: int) -> np.ndarray:
+    """The read-only measures of n equal parts, one array per n, so kernels
+    built on it share their partition by identity."""
+    measures = np.full(n, 1.0 / n)
+    measures.setflags(write=False)
+    return measures
 
 
 def _require_same_partition(w1: StepKernel, w2: StepKernel, op: str) -> None:
@@ -135,10 +167,12 @@ def special_kernel(gamma: float, a: Sequence[float]) -> StepKernel:
     spec = SpecialKernelSpec(float(gamma), tuple(a))
     n = spec.depth
     measures = np.array([2.0 ** -(i + 1) for i in range(n)] + [2.0**-n])
+    if measures[-1] == 0.0:  # 2^-n underflowed
+        raise ValueError("part measures must be strictly positive")
     values = np.zeros((n + 1, n + 1))
     for i in range(n):
         values[i, i] = 2.0 ** ((i + 1) * spec.gamma) * spec.a[i]
-    return StepKernel(measures, values)
+    return _trusted(measures, values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +258,7 @@ def sample_block_random(n: int, d: DiracMixture, seed: int) -> StepKernel:
     for i in range(n):
         # row i: column i of the rows above it, then blocks (i, i), ..., (i, n - 1)
         rows.append([row[i] for row in rows] + [pick(key_uniform(f"block/{seed}/{i}/{j}")) for j in range(i, n)])
-    return StepKernel(np.full(n, 1.0 / n), np.array(rows))
+    return _trusted(_equal_parts(n), np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +324,9 @@ def common_refinement(w1: StepKernel, w2: StepKernel) -> tuple[StepKernel, StepK
 # Serialization
 # ---------------------------------------------------------------------------
 
+_JSON_NUMBERS = {int, float}
+
+
 def kernel_to_json(w: StepKernel) -> dict:
     return {"measures": w.measures.tolist(), "values": w.values.tolist()}
 
@@ -297,7 +334,11 @@ def kernel_to_json(w: StepKernel) -> dict:
 def kernel_from_json(obj: dict) -> StepKernel:
     if not isinstance(obj, dict) or "measures" not in obj or "values" not in obj:
         raise ValueError("kernel JSON must have 'measures' and 'values' fields")
+    measures, values = obj["measures"], obj["values"]
     try:
-        return StepKernel(np.array(obj["measures"], dtype=np.float64), np.array(obj["values"], dtype=np.float64))
+        # one C-level pass over the entries; numpy alone would read true as 1 and "0.5" as 0.5
+        if not set(map(type, chain(measures, chain.from_iterable(values)))) <= _JSON_NUMBERS:
+            raise ValueError("measures and values must be JSON numbers")
+        return StepKernel(np.array(measures, dtype=np.float64), np.array(values, dtype=np.float64))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad kernel JSON: {exc}") from None

@@ -33,6 +33,8 @@ from .graphs import Graph, disjoint_union, is_connected
 from .kernels import (
     DiracMixture,
     StepKernel,
+    _equal_parts,
+    _trusted,
     combine,
     dirac_d1,
     sample_block_random,
@@ -102,7 +104,7 @@ def _witness_sample(n: int, seed: int, role: str, attempt: int) -> StepKernel:
     upper = ~np.tri(n, k=-1, dtype=bool)
     values = np.zeros((n, n))
     values[upper] = _COIN.pick_many(key_uniforms(f"moduli/{role}/{seed}/{attempt}/{n}", n * (n + 1) // 2))
-    return StepKernel(np.full(n, 1.0 / n), np.where(upper, values, values.T))
+    return _trusted(_equal_parts(n), np.where(upper, values, values.T))
 
 
 def _sample_normalized(h: Graph, n: int, seed: int, role: str) -> tuple[StepKernel, StepKernel]:

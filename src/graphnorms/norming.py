@@ -23,6 +23,7 @@ from .density import Decoration, decorated_density, density, density_many, max_b
 from .graphs import (
     Component,
     Graph,
+    _json_edge,
     average_degree,
     edge_components,
     enumerate_subgraphs,
@@ -38,6 +39,7 @@ from .graphs import (
 from .kernels import (
     DiracMixture,
     StepKernel,
+    _trusted,
     absolute,
     combine,
     constant_kernel,
@@ -192,22 +194,28 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
 _VALUE_GRID = DiracMixture(((0.0, 0.2), (0.25, 0.2), (0.5, 0.2), (0.75, 0.2), (1.0, 0.2)))
 
 
+_INDICATOR_PATTERNS = tuple(
+    np.array(p)
+    for p in (
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+    )
+)
+
+
 def _indicator_family(h: Graph, seed: int, trial: int) -> Decoration:
     # Two-part partition (theta, 1-theta); each edge independently gets one
     # of the four 0/1 block patterns or all-ones.
     theta = 0.1 + 0.8 * counter_uniform("theta", seed, trial)
     measures = np.array([theta, 1.0 - theta])
-    patterns = [
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
-        np.array([[0.0, 0.0], [0.0, 1.0]]),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        np.array([[1.0, 1.0], [1.0, 1.0]]),
-        np.array([[1.0, 0.0], [0.0, 1.0]]),
-    ]
+    patterns = _INDICATOR_PATTERNS
     kernels = {}
     for ei, e in enumerate(h.sorted_edges):
         pick = int(counter_uniform("indicator", seed, trial, ei) * len(patterns))
-        kernels[e] = StepKernel(measures, patterns[min(pick, len(patterns) - 1)])
+        kernels[e] = _trusted(measures, patterns[min(pick, len(patterns) - 1)])
     return Decoration(h, kernels)
 
 
@@ -237,7 +245,7 @@ def _rank_one_family(h: Graph, seed: int, trial: int, signed: bool) -> Decoratio
     for ei, e in enumerate(h.sorted_edges):
         u = np.array([counter_uniform("vec", seed, trial, ei, i) for i in range(n)])
         vec = 2.0 * u - 1.0 if signed else 1.3 * u
-        kernels[e] = StepKernel(measures, np.outer(vec, vec))
+        kernels[e] = _trusted(measures, np.outer(vec, vec))
     return Decoration(h, kernels)
 
 
@@ -745,10 +753,12 @@ def decoration_to_json(d: Decoration) -> dict:
 
 def decoration_from_json(obj: dict) -> Decoration:
     host = graph_from_json(obj["host"])
-    edges = [tuple(int(x) for x in e) for e in obj["edges"]]
+    edges = [_json_edge(e) for e in obj["edges"]]
     kernels = [kernel_from_json(k) for k in obj["kernels"]]
     if len(edges) != len(kernels):
         raise ValueError("decoration JSON: edges and kernels must align")
+    if len({(u, v) if u < v else (v, u) for u, v in edges}) != len(edges):
+        raise ValueError("decoration JSON: an edge is listed twice")
     return Decoration(host, dict(zip(edges, kernels)))
 
 

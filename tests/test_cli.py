@@ -97,6 +97,25 @@ def test_density_kernel_value_beyond_float_range(tmp_path, capsys, c4):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"measures": [True], "values": [[0.5]]},
+        {"measures": [1.0], "values": [[False]]},
+        {"measures": ["1"], "values": [["0.5"]]},
+        {"measures": [1.0], "values": [["0.5"]]},
+    ],
+)
+def test_density_kernel_entries_must_be_numbers(tmp_path, capsys, c4, doc):
+    kernel = tmp_path / "typed.json"
+    kernel.write_text(json.dumps(doc))
+    code = main(["density", write_graph(tmp_path, c4), str(kernel)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad kernel JSON" in captured.err
+    assert captured.out == ""
+
+
 def test_density_ignores_isolated_vertices(tmp_path, capsys, c4):
     graph = tmp_path / "sparse.txt"
     graph.write_text("vertices 100000\n" + "".join(f"{u} {v}\n" for u, v in c4.sorted_edges))
@@ -308,6 +327,36 @@ def test_validate_perturbed_certificate(tmp_path, capsys, c4, c6):
     out = capsys.readouterr().out
     assert code == 3
     assert "valid = no" in out
+
+
+def _float_edge(decoration):
+    decoration["edges"][0] = [0.9, 1.2]
+
+
+def _string_edge(decoration):
+    decoration["edges"][0] = ["0", "1"]
+
+
+def _float_host_edge(decoration):
+    decoration["host"]["edges"][0] = [0.9, 1.2]
+
+
+def _repeated_edge(decoration):
+    decoration["edges"].append(decoration["edges"][0][::-1])
+    decoration["kernels"].append(decoration["kernels"][0])
+
+
+@pytest.mark.parametrize("edit", [_float_edge, _string_edge, _float_host_edge, _repeated_edge])
+def test_validate_rejects_malformed_decoration_edges(tmp_path, capsys, edit):
+    doc = json.loads((GOLDEN / "cert-c4c6-weak-0.json").read_text())
+    edit(doc["decoration"])
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    code = main(["validate", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "malformed certificate" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_malformed_json(tmp_path, capsys):

@@ -96,6 +96,21 @@ def test_json_round_trip_random(extra, raw_pairs):
     assert graph_from_json(graph_to_json(g)) == g
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vertices": True, "edges": []},
+        {"vertices": 2.0, "edges": [[0, 1]]},
+        {"vertices": 2, "edges": [[0.9, 1.2]]},
+        {"vertices": 2, "edges": [["0", "1"]]},
+        {"vertices": 2, "edges": [[True, False]]},
+    ],
+)
+def test_json_vertices_must_be_integers(obj):
+    with pytest.raises(GraphParseError):
+        graph_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------

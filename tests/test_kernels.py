@@ -80,6 +80,13 @@ def test_special_kernel_measures_exactly_dyadic(depth):
     assert float(w.measures.sum()) == 1.0
 
 
+def test_special_kernel_keeps_the_checks_its_construction_can_fail():
+    with pytest.raises(ValueError, match="finite"):
+        special_kernel(1000.0, (1e300,))  # 2^1000 * 1e300 overflows to inf
+    with pytest.raises(ValueError, match="positive"):
+        special_kernel(0.5, (1.0,) * 1100)  # 2^-1100 underflows to 0
+
+
 def test_special_kernel_spec_round_trip():
     spec = SpecialKernelSpec(gamma=1.5, a=(0.3, 0.7))
     assert spec.depth == 2
