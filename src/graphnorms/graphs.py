@@ -87,8 +87,9 @@ class Graph:
 def _graph(vertex_count: int, edges: frozenset[tuple[int, int]]) -> Graph:
     """A graph from edges already normalized and in range, unchecked."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", vertex_count)
-    object.__setattr__(g, "edges", edges)
+    fields = g.__dict__  # a frozen dataclass blocks only attribute assignment
+    fields["vertex_count"] = vertex_count
+    fields["edges"] = edges
     return g
 
 
@@ -367,7 +368,15 @@ def enumerate_subgraphs(g: Graph, max_vertices: int) -> Iterator[Graph]:
 
     Subsets are enumerated in increasing bitmask order over the sorted edge
     list, so the stream is deterministic.  Only subgraphs spanning at most
-    max_vertices vertices are yielded; isolated vertices never appear.
+    max_vertices vertices are yielded; isolated vertices never appear.  A
+    subgraph's vertices are relabeled onto its sorted support.
+
+    A mask is split into its low and high halves of the edge list.  Two
+    tables, one per half, hold the endpoint bitmask and the edges of every
+    subset of that half (2^ceil(m/2) entries each, never 2^m), so a mask's
+    support is one OR; a mask spanning too many vertices is skipped by its
+    popcount before anything is built, and a vertex's new label is the
+    popcount of the support below it.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
@@ -375,13 +384,40 @@ def enumerate_subgraphs(g: Graph, max_vertices: int) -> Iterator[Graph]:
     m = len(es)
     if m > 22:
         raise ValueError(f"refusing exhaustive enumeration over 2^{m} edge subsets")
-    for mask in range(1, 1 << m):
-        chosen = [es[i] for i in range(m) if (mask >> i) & 1]
-        support = sorted({x for e in chosen for x in e})
-        if len(support) > max_vertices:
-            continue
-        index = {v: i for i, v in enumerate(support)}
-        yield _graph(len(support), frozenset((index[u], index[v]) for u, v in chosen))
+    # Relabel g onto its own sorted support first: that keeps every order,
+    # and the bitmasks then have at most 2m bits, however large the labels.
+    rank = {v: i for i, v in enumerate(sorted({x for e in es for x in e}))}
+    es = [(rank[u], rank[v]) for u, v in es]
+    below = [(1 << x) - 1 for x in range(len(rank))]
+    h = (m + 1) // 2
+    low_supports, low_edges = _subset_tables(es[:h])
+    high_supports, high_edges = _subset_tables(es[h:])
+    last = 0
+    for high_support, high in zip(high_supports, high_edges):
+        for low_support, low in zip(low_supports, low_edges):
+            s = low_support | high_support
+            k = s.bit_count()
+            if not 0 < k <= max_vertices:  # 0 only for the empty mask
+                continue
+            if s == (1 << k) - 1:  # support 0..k-1: the labels stay
+                yield _graph(k, frozenset(low + high))
+                continue
+            if s != last:
+                last = s
+                index = [(s & b).bit_count() for b in below]
+            yield _graph(k, frozenset([(index[u], index[v]) for u, v in low + high]))
+
+
+def _subset_tables(edges: list[tuple[int, int]]) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """For every subset of edges, in bitmask order: the bitmask of the
+    vertices it touches, and its edges in list order."""
+    supports = [0]
+    subsets: list[tuple[tuple[int, int], ...]] = [()]
+    for u, v in edges:
+        bit = 1 << u | 1 << v
+        supports += [s | bit for s in supports]
+        subsets += [t + ((u, v),) for t in subsets]
+    return supports, subsets
 
 
 def _require_connected_no_isolated(g: Graph, what: str) -> None:

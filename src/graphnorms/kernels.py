@@ -170,8 +170,11 @@ def special_kernel(gamma: float, a: Sequence[float]) -> StepKernel:
     if measures[-1] == 0.0:  # 2^-n underflowed
         raise ValueError("part measures must be strictly positive")
     values = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        values[i, i] = 2.0 ** ((i + 1) * spec.gamma) * spec.a[i]
+    try:
+        for i in range(n):
+            values[i, i] = 2.0 ** ((i + 1) * spec.gamma) * spec.a[i]
+    except OverflowError:  # the power alone passes float range
+        raise ValueError("measures and values must be finite") from None
     return _trusted(measures, values)
 
 

@@ -81,8 +81,10 @@ def test_special_kernel_measures_exactly_dyadic(depth):
 
 
 def test_special_kernel_keeps_the_checks_its_construction_can_fail():
-    with pytest.raises(ValueError, match="finite"):
-        special_kernel(1000.0, (1e300,))  # 2^1000 * 1e300 overflows to inf
+    # 2^1000 * 1e300 overflows to inf; 2^1200 alone passes float range
+    for gamma, a in ((1000.0, (1e300,)), (600.0, (1.0, 1.0))):
+        with pytest.raises(ValueError, match="^measures and values must be finite$"):
+            special_kernel(gamma, a)
     with pytest.raises(ValueError, match="positive"):
         special_kernel(0.5, (1.0,) * 1100)  # 2^-1100 underflows to 0
 

@@ -4,8 +4,12 @@ constructor would accept, and only the listed internal builders may use them."""
 from __future__ import annotations
 
 import ast
+import tracemalloc
+from collections import deque
+from itertools import islice, zip_longest
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from graphnorms import (
     Decoration,
     Graph,
     StepKernel,
+    complete_bipartite,
     dirac_d1,
     dirac_d2,
     edge_components,
@@ -27,22 +32,22 @@ from graphnorms.norming import _FAMILIES, _VALUE_GRID
 
 
 @st.composite
-def _graphs(draw, max_vertices=7, max_edges=10):
-    n = draw(st.integers(1, max_vertices))
+def _graphs(draw, max_vertices=7, max_edges=10, min_vertices=1, min_edges=0):
+    n = draw(st.integers(min_vertices, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges, max_size=max_edges)) if pairs else []
     return Graph.from_edges(edges, vertex_count=n)
 
 
-def _reference_subgraphs(g: Graph, cap: int):
-    """enumerate_subgraphs as a plain mask loop through Graph.from_edges."""
+def _reference_subgraphs(g: Graph):
+    """enumerate_subgraphs without a cap, as a plain mask loop through
+    Graph.from_edges: a cap keeps the subgraphs on at most that many vertices."""
     es = g.sorted_edges
     for mask in range(1, 1 << len(es)):
         chosen = [e for i, e in enumerate(es) if mask >> i & 1]
         support = sorted({x for e in chosen for x in e})
-        if len(support) <= cap:
-            index = {v: i for i, v in enumerate(support)}
-            yield Graph.from_edges([(index[u], index[v]) for u, v in chosen], vertex_count=len(support))
+        index = {v: i for i, v in enumerate(support)}
+        yield Graph.from_edges([(index[u], index[v]) for u, v in chosen], vertex_count=len(support))
 
 
 def _assert_valid_graph(g: Graph) -> None:
@@ -50,14 +55,51 @@ def _assert_valid_graph(g: Graph) -> None:
     assert Graph(g.vertex_count, g.edges) == g  # the full checks pass
 
 
+def _assert_stream_equals_the_mask_loop(g: Graph) -> None:
+    reference = list(_reference_subgraphs(g))
+    for cap in range(1, g.vertex_count + 1):
+        expected = (f for f in reference if f.vertex_count <= cap)
+        assert all(a == b for a, b in zip_longest(enumerate_subgraphs(g, cap), expected))
+
+
 @settings(max_examples=60, deadline=None)
-@given(_graphs(), st.data())
-def test_subgraph_stream_equals_the_checked_mask_loop(g, data):
-    cap = data.draw(st.integers(1, g.vertex_count))
-    stream = list(enumerate_subgraphs(g, cap))
-    assert stream == list(_reference_subgraphs(g, cap))
-    for f in stream:
+@given(_graphs())
+def test_subgraph_stream_equals_the_checked_mask_loop(g):
+    _assert_stream_equals_the_mask_loop(g)
+    for f in enumerate_subgraphs(g, g.vertex_count):
         _assert_valid_graph(f)
+
+
+@settings(max_examples=4, deadline=None)
+@given(_graphs(max_vertices=9, max_edges=16, min_vertices=6, min_edges=11))
+def test_subgraph_stream_equals_the_checked_mask_loop_up_to_16_edges(g):
+    # both halves of the edge list take part in every support and relabelling
+    _assert_stream_equals_the_mask_loop(g)
+
+
+def test_subgraph_counts_of_petersen_and_k44():
+    petersen = Graph.from_edges(nx.petersen_graph().edges())
+    assert sum(1 for _ in enumerate_subgraphs(petersen, 8)) == 11357
+    assert sum(1 for _ in enumerate_subgraphs(complete_bipartite(4, 4), 8)) == 2**16 - 1
+
+
+def test_subgraph_enumeration_memory_stays_below_the_subset_count():
+    # one table over all 2^22 subsets would take over 100 MiB; two of 2^11 fit
+    host = Graph.from_edges(nx.gnm_random_graph(10, 22, seed=1).edges())
+    assert host.edge_count == 22
+    tracemalloc.start()
+    try:
+        deque(islice(enumerate_subgraphs(host, 8), 10**4), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_subgraph_bitmasks_do_not_grow_with_vertex_labels():
+    far = 10**8
+    g = Graph(far + 1, frozenset({(0, far), (5, far)}))
+    assert list(enumerate_subgraphs(g, 3)) == list(_reference_subgraphs(g))
 
 
 @settings(max_examples=60, deadline=None)
