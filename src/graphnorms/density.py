@@ -104,6 +104,15 @@ def elimination_plan(g: Graph) -> EliminationPlan:
 # schedule is compiled once per (component, batched) into closures over
 # precomputed permutations and einsum strings.
 #
+# Each step is keyed by its kind, its compiled parameters and the value
+# numbers of its inputs: the measure slots share one number, and so do the
+# edge slots when every edge reads one array (density, and the stack of
+# density_many).  A step whose key an earlier step already has is dropped,
+# and its readers read that step's slot, so each distinct step runs once per
+# call; K2,3's three W.D.W products are one.  Nothing else moves: the shared
+# step computes the same bits from the same arrays.  Each slot is freed
+# after its last reader.
+#
 # Every edge array is exactly symmetric in its two vertex axes (a validated
 # kernel, or a stack of them), so an original edge slot is read in whichever
 # of its two vertex orders the reading step lays out: products multiply it
@@ -114,7 +123,7 @@ def _sum_step(axis: int):
     def run(a):
         return a.sum(axis=axis)
 
-    return run
+    return ("sum", axis), run
 
 
 def _aligner(vars_: tuple, layout: tuple):
@@ -136,6 +145,7 @@ def _product_step(in_vars: list[tuple], layout: tuple):
     part of the space the previous step's output just freed and pushing
     the output past it, growing the heap (peak memory, not arithmetic).
     """
+    key = ("product", len(layout), tuple([tuple([layout.index(u) for u in vs]) for vs in in_vars]))
     views = [_aligner(vs, layout) for vs in in_vars]
     sources = [next((i, vs.index(u)) for i, vs in enumerate(in_vars) if u in vs) for u in layout]
     full, covered, spans = set(layout), set(), []
@@ -160,7 +170,7 @@ def _product_step(in_vars: list[tuple], layout: tuple):
                 out = np.multiply(out, a, order="C")
         return out
 
-    return run
+    return key, run
 
 
 def _matmul_step(x_perm, y_perm, lead: int):
@@ -176,7 +186,7 @@ def _matmul_step(x_perm, y_perm, lead: int):
         out = np.matmul(x.reshape(head + (-1, x.shape[-1])), y.reshape(head + (y.shape[lead], -1)))
         return out.reshape(head + x.shape[lead:-1] + y.shape[lead + 1:])
 
-    return run
+    return ("matmul", x_perm, y_perm, lead), run
 
 
 def _einsum_step(in_vars: list[tuple], out_vars: tuple):
@@ -190,7 +200,7 @@ def _einsum_step(in_vars: list[tuple], out_vars: tuple):
     def run(*arrays):
         return np.einsum(expr, *arrays)
 
-    return run
+    return ("einsum", expr), run
 
 
 def _span(factors) -> frozenset:
@@ -320,11 +330,37 @@ class _Program(NamedTuple):
     edges: tuple[tuple[int, int], ...]
     steps: tuple[tuple[Callable, tuple[int, ...], int], ...]
     widest: int  # most vertex axes on a step output; the batch axis is not counted
+    frees: tuple[tuple[int, ...], ...]  # per step, the slots it is the last reader of
+
+
+def _deduplicated(n: int, edges: tuple, steps: list, widest: int, uniform: bool) -> _Program:
+    """The program of the compiled (key, run, ins) steps, less each step
+    whose key and input value numbers an earlier step has; its readers read
+    that step's slot.  With `uniform`, every edge slot holds one array."""
+    inputs = n + len(edges)
+    value = [0] * n + ([n] * len(edges) if uniform else list(range(n, inputs)))
+    where = list(range(inputs))  # per compiled slot, the slot that holds its array
+    seen: dict = {}
+    kept: list = []
+    for key, run, ins in steps:
+        full_key = (key, tuple([value[i] for i in ins]))
+        slot = seen.get(full_key)
+        if slot is None:
+            slot = seen[full_key] = inputs + len(kept)
+            kept.append((run, tuple([where[i] for i in ins]), slot))
+        where.append(slot)
+        value.append(slot)
+    last = {i: k for k, (_, ins, _) in enumerate(kept) for i in ins}
+    frees: list = [[] for _ in kept]
+    for i, k in last.items():
+        frees[k].append(i)
+    return _Program(n, edges, tuple(kept), widest, tuple(map(tuple, frees)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _program(g: Graph, batched: bool) -> _Program:
-    """Compile the elimination of g along its greedy plan.
+def _programs(g: Graph, batched: bool) -> tuple[_Program, _Program]:
+    """Compile the elimination of g along its greedy plan: the program for
+    distinct edge arrays, and the one for a single array on every edge.
 
     g must be connected and have an edge.  Eliminating a vertex keeps the
     remaining vertices connected, so the last step's output is the only
@@ -337,37 +373,41 @@ def _program(g: Graph, batched: bool) -> _Program:
     steps: list = []
     widest = 0
 
-    def emit(run, ins, out_vars):
+    def emit(step, ins, out_vars):
         nonlocal widest
-        slot = n + len(edges) + len(steps)
-        steps.append((run, tuple(ins), slot))
+        steps.append((*step, tuple(ins)))
         widest = max(widest, len(out_vars) - (_BATCH in out_vars))
-        return out_vars, slot
+        return out_vars, n + len(edges) + len(steps) - 1
 
     edge_slots = range(n, n + len(edges))
     for v in elimination_plan(g).order:
         group = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         factors.append(_compile_step(v, group, emit, edge_slots))
-    return _Program(n, edges, tuple(steps), widest)
+    return _deduplicated(n, edges, steps, widest, False), _deduplicated(n, edges, steps, widest, True)
+
+
+def _program(g: Graph, batched: bool, uniform: bool = False) -> _Program:
+    """The compiled elimination of g; with `uniform`, for one array on every edge."""
+    return _programs(g, batched)[uniform]
 
 
 def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
     slots = [measures] * program.vertex_count + edge_arrays + [None] * len(program.steps)
-    for run, ins, out in program.steps:
+    for (run, ins, out), done in zip(program.steps, program.frees):
         slots[out] = run(*[slots[i] for i in ins])
-        for i in ins:
-            slots[i] = None  # free each intermediate as soon as it is used
+        for i in done:
+            slots[i] = None  # free each slot after its last reader
     return slots[-1]
 
 
-def _contraction_jobs(h: Graph, parts: int, batch: int | None = None) -> list:
+def _contraction_jobs(h: Graph, parts: int, batch: int | None = None, uniform: bool = False) -> list:
     """The compiled programs that contract h at `parts` parts, one per
     connected component with edges, each with the names of its vertices in
     h.  Raises ValueError, before anything is allocated, when a step would
     exceed CONTRACTION_LIMIT elements.
     """
-    jobs = [(_program(c.graph, batch is not None), c.vertices) for c in edge_components(h)]
+    jobs = [(_program(c.graph, batch is not None, uniform), c.vertices) for c in edge_components(h)]
     for program, _ in jobs:
         size = parts**program.widest * (batch or 1)
         if size > CONTRACTION_LIMIT:
@@ -378,16 +418,21 @@ def _contraction_jobs(h: Graph, parts: int, batch: int | None = None) -> list:
     return jobs
 
 
-def _contract(h: Graph, measures: np.ndarray, edge_array: Callable, batch: int | None = None):
+def _contract(h: Graph, measures: np.ndarray, edge_array: np.ndarray | Callable, batch: int | None = None):
     """The one contraction core behind every density.
 
-    edge_array(e) gives the value array of edge e of h: parts x parts, or
-    batch x parts x parts when `batch` is set.  The values of the component
-    programs _contraction_jobs compiles are multiplied.
+    edge_array is the one value array that every edge of h reads, or a
+    function giving the array of edge e: parts x parts, or batch x parts x
+    parts when `batch` is set.  The values of the component programs
+    _contraction_jobs compiles are multiplied.
     """
+    uniform = isinstance(edge_array, np.ndarray)
     total = 1.0
-    for program, names in _contraction_jobs(h, measures.size, batch):
-        arrays = [edge_array((names[a], names[b])) for a, b in program.edges]
+    for program, names in _contraction_jobs(h, measures.size, batch, uniform):
+        if uniform:
+            arrays = [edge_array] * len(program.edges)
+        else:
+            arrays = [edge_array((names[a], names[b])) for a, b in program.edges]
         total = total * _run(program, measures, arrays)
     return total
 
@@ -402,8 +447,7 @@ def density(h: Graph, w: StepKernel) -> float:
     Each connected component with edges is contracted along its own cached
     greedy plan, and the component values are multiplied.
     """
-    values = w.values
-    return float(_contract(h, w.measures, lambda e: values))
+    return float(_contract(h, w.measures, w.values))
 
 
 def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
@@ -415,7 +459,7 @@ def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
         if not base.same_partition(k):
             raise PartitionMismatchError("density_many: kernels must share one partition")
     stack = np.stack([k.values for k in kernels])
-    return np.ones(len(kernels)) * _contract(h, base.measures, lambda e: stack, batch=len(kernels))
+    return np.ones(len(kernels)) * _contract(h, base.measures, stack, batch=len(kernels))
 
 
 def max_batch(h: Graph, parts: int) -> int:

@@ -77,9 +77,20 @@ def relabeled(draw, graphs):
 
 
 @st.composite
-def kernel_families(draw, count):
-    """`count` signed kernels with 1-4 parts on one shared partition."""
-    parts = draw(st.integers(1, 4))
+def connected_graphs(draw, max_vertices: int = 7):
+    """A connected graph on 2 to max_vertices vertices: a random tree, in
+    which each vertex joins an earlier one, plus random further edges."""
+    n = draw(st.integers(2, max_vertices))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _graph(n, sorted(tree | {e for e, keep in zip(pairs, chosen) if keep}))
+
+
+@st.composite
+def kernel_families(draw, count, max_parts: int = 4):
+    """`count` signed kernels with 1 to max_parts parts on one shared partition."""
+    parts = draw(st.integers(1, max_parts))
     measures = _measures(draw, parts)
     return [StepKernel(measures, _values(draw, parts)) for _ in range(count)]
 
@@ -226,6 +237,74 @@ def test_triangle_pattern_steps_match_bruteforce(host):
     _close(decorated_density(d), decorated_density_bruteforce(d), scale)
     for k, value in zip(kernels[:4], density_many(host, kernels[:4])):
         _close(value, density_bruteforce(host, k), _abs_scale(host, [k] * host.edge_count))
+
+
+# ---------------------------------------------------------------------------
+# Step sharing: one array on every edge
+# ---------------------------------------------------------------------------
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_steps_give_the_bits_of_the_unshared_program(data):
+    # The program for one array on every edge drops the steps it already
+    # ran; on the same arrays it returns exactly the distinct-edge program's
+    # value, batched and unbatched.
+    h = data.draw(relabeled(connected_graphs()))
+    kernels = data.draw(st.integers(1, 3).flatmap(lambda k: kernel_families(k, max_parts=5)))
+    measures = kernels[0].measures
+    stack = np.stack([w.values for w in kernels])
+    values = {}
+    for batched, array in ((False, kernels[0].values), (True, stack)):
+        arrays = [array] * h.edge_count
+        values[batched] = core._run(core._program(h, batched, True), measures, arrays)
+        assert _bits(values[batched]) == _bits(core._run(core._program(h, batched), measures, arrays))
+    assert density(h, kernels[0]) == float(values[False])
+    assert _bits(density_many(h, kernels)) == _bits(values[True])
+    for w, value in zip(kernels, values[True]):
+        _close(value, density_bruteforce(h, w), _abs_scale(h, [w] * h.edge_count))
+
+
+@pytest.mark.parametrize("host, unbatched, batched", [
+    (Q3, (16, 12), (15, 11)),
+    (complete_bipartite(2, 3), (11, 8), (10, 7)),  # the three W.D.W products are one
+    (cycle(6), (12, 9), (11, 8)),  # the four W.D products of the sweep are one
+    (complete(4), (8, 8), (7, 7)),  # nothing to share
+])
+def test_step_counts_with_one_array_on_every_edge(host, unbatched, batched):
+    for flag, counts in ((False, unbatched), (True, batched)):
+        assert (len(core._program(host, flag).steps), len(core._program(host, flag, True).steps)) == counts
+
+
+@pytest.mark.parametrize("host, widest", [(Q3, 3), (K33, 3), (complete(4), 3), (cycle(6), 2)])
+def test_shared_steps_never_raise_the_peak(host, widest):
+    # A shared output lives until its last reader; that must never hold
+    # more memory at once than running every step.
+    parts = 64
+    rng = np.random.default_rng(1)
+    measures = rng.uniform(0.5, 1.5, parts)
+    measures /= measures.sum()
+    upper = np.triu(rng.uniform(-0.5, 1.0, (parts, parts)))
+    arrays = [upper + np.triu(upper, 1).T] * host.edge_count
+    peaks, values = {}, {}
+    for uniform in (False, True):
+        program = core._program(host, False, uniform)
+        core._run(program, measures, arrays)  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            values[uniform] = core._run(program, measures, arrays)
+            peaks[uniform] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert _bits(values[True]) == _bits(values[False])
+    assert peaks[True] <= peaks[False]
+    for batched in (False, True):
+        assert core._program(host, batched, True).widest == core._program(host, batched).widest == widest
+    assert core.max_batch(host, parts) == core.CONTRACTION_LIMIT // parts**widest
+    assert core.CONTRACTION_LIMIT == 2**25
 
 
 # ---------------------------------------------------------------------------

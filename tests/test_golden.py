@@ -56,8 +56,11 @@ CASES["validate-c4c6-forged.txt"] = (3, ["validate", "cert-c4c6-forged.json"])
 CASES["moduli-c4-smoothness-n128.csv"] = (0, [
     "moduli", "c4.txt", "--kind", "smoothness", "--eps-grid", "0.25,0.5,0.75", "--n-grid", "128", "--seeds", "0,5",
 ])
-for _graph in ("c6", "k4", "k33"):
+for _graph in ("c6", "k4", "k33", "q3"):
     CASES[f"density-{_graph}.txt"] = (0, ["density", f"{_graph}.txt", "kernel5.json"])
+# without witnesses, the JSON prints every value at full precision
+CASES["moduli-c6-smoothness.json"] = (0, ["moduli", "c6.txt", "--kind", "smoothness", *_MODULI_GRID, "--format", "json"])
+CASES["check-k34-semi.json"] = (3, ["check", "k34.txt", "--mode", "semi", "--budget", "300", "--seed", "0"])
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
