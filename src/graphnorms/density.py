@@ -10,8 +10,8 @@ independent correctness oracle.
 
 There is one contraction path: every density is the product of the
 densities of the graph's components with edges, each contracted along its
-own cached greedy plan.  This keeps the elimination width that of the
-largest component and mirrors the product rule for disjoint unions.
+own cached elimination order.  This keeps the elimination width that of
+the largest component and mirrors the product rule for disjoint unions.
 """
 
 from __future__ import annotations
@@ -54,19 +54,27 @@ def elimination_plan(g: Graph) -> EliminationPlan:
     Evaluation takes O(parts^(width+1)) time and O(parts^width) memory per
     eliminated vertex.  Plans are cached per graph.
     """
+    return _min_fill(g, False)
+
+
+def _min_fill(g: Graph, sharing: bool) -> EliminationPlan:
+    """Greedy min-fill order with its induced width.  Ties go to lower
+    degree, then lower index; with `sharing`, ties in fill and degree go
+    first to the vertices that no eliminated vertex was adjacent to."""
     adj: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
     order: list[int] = []
     width = 0
+    touched: set[int] = set()  # vertices adjacent to an eliminated vertex
     remaining = sorted(adj)
     while remaining:
         best, best_key = None, None
         for v in remaining:
             nbrs = adj[v]
             fill = sum(1 for a, b in combinations(sorted(nbrs), 2) if b not in adj[a])
-            key = (fill, len(nbrs), v)
+            key = (fill, len(nbrs), sharing and v in touched, v)
             if best_key is None or key < best_key:
                 best, best_key = v, key
         nbrs = sorted(adj[best])
@@ -76,6 +84,7 @@ def elimination_plan(g: Graph) -> EliminationPlan:
             adj[b].add(a)
         for a in nbrs:
             adj[a].discard(best)
+        touched.update(nbrs)
         del adj[best]
         remaining.remove(best)
         order.append(best)
@@ -109,9 +118,22 @@ def elimination_plan(g: Graph) -> EliminationPlan:
 # edge slots when every edge reads one array (density, and the stack of
 # density_many).  A step whose key an earlier step already has is dropped,
 # and its readers read that step's slot, so each distinct step runs once per
-# call; K2,3's three W.D.W products are one.  Nothing else moves: the shared
-# step computes the same bits from the same arrays.  Each slot is freed
-# after its last reader.
+# call.  Nothing else moves: the shared step computes the same bits from
+# the same arrays.  Each slot is freed after its last reader.
+#
+# Steps coincide only if the order lets them.  The greedy plan breaks ties
+# by index, so it sweeps a cycle one vertex at a time and no two steps
+# match.  The unbatched programs (density, decorated_density) may follow
+# the sharing order of _min_fill instead, which sums out the alternate
+# vertices of a cycle, or one side of K3,3, first: their W.D.W steps are
+# one.  A component keeps it only when the single-array program is no
+# wider and cheaper by _Program.cost; over 200 labelings C4 and K2,3 then
+# run 1 matmul (greedy: 1-2), and K3,3, K3,4 and Q3 2 (greedy: 2-3).
+# elimination_plan, whose width is printed and guarded, is always the
+# greedy plan, and every batched program (density_many) follows it: their
+# bits decide float-valued Hoelder hits in the search and in validate, so
+# they keep the greedy plan until those are decided exactly (ROADMAP
+# item 3).
 #
 # Every edge array is exactly symmetric in its two vertex axes (a validated
 # kernel, or a stack of them), so an original edge slot is read in whichever
@@ -331,6 +353,11 @@ class _Program(NamedTuple):
     steps: tuple[tuple[Callable, tuple[int, ...], int], ...]
     widest: int  # most vertex axes on a step output; the batch axis is not counted
     frees: tuple[tuple[int, ...], ...]  # per step, the slots it is the last reader of
+    keys: tuple[tuple, ...]  # per step, its kind and compiled parameters
+
+    def cost(self) -> tuple[int, int]:
+        """Matmul and einsum steps, then steps: lower is cheaper."""
+        return sum(1 for key in self.keys if key[0] in ("matmul", "einsum")), len(self.steps)
 
 
 def _deduplicated(n: int, edges: tuple, steps: list, widest: int, uniform: bool) -> _Program:
@@ -342,25 +369,26 @@ def _deduplicated(n: int, edges: tuple, steps: list, widest: int, uniform: bool)
     where = list(range(inputs))  # per compiled slot, the slot that holds its array
     seen: dict = {}
     kept: list = []
+    keys: list = []
     for key, run, ins in steps:
         full_key = (key, tuple([value[i] for i in ins]))
         slot = seen.get(full_key)
         if slot is None:
             slot = seen[full_key] = inputs + len(kept)
             kept.append((run, tuple([where[i] for i in ins]), slot))
+            keys.append(key)
         where.append(slot)
         value.append(slot)
     last = {i: k for k, (_, ins, _) in enumerate(kept) for i in ins}
     frees: list = [[] for _ in kept]
     for i, k in last.items():
         frees[k].append(i)
-    return _Program(n, edges, tuple(kept), widest, tuple(map(tuple, frees)))
+    return _Program(n, edges, tuple(kept), widest, tuple(map(tuple, frees)), tuple(keys))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _programs(g: Graph, batched: bool) -> tuple[_Program, _Program]:
-    """Compile the elimination of g along its greedy plan: the program for
-    distinct edge arrays, and the one for a single array on every edge.
+def _compiled(g: Graph, order: tuple[int, ...], batched: bool) -> tuple[_Program, _Program]:
+    """The programs that eliminate g's vertices in `order`: for distinct
+    edge arrays, and for a single array on every edge.
 
     g must be connected and have an edge.  Eliminating a vertex keeps the
     remaining vertices connected, so the last step's output is the only
@@ -380,11 +408,31 @@ def _programs(g: Graph, batched: bool) -> tuple[_Program, _Program]:
         return out_vars, n + len(edges) + len(steps) - 1
 
     edge_slots = range(n, n + len(edges))
-    for v in elimination_plan(g).order:
+    for v in order:
         group = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         factors.append(_compile_step(v, group, emit, edge_slots))
     return _deduplicated(n, edges, steps, widest, False), _deduplicated(n, edges, steps, widest, True)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _programs(g: Graph, batched: bool) -> tuple[_Program, _Program]:
+    """The compiled elimination of g: the program for distinct edge arrays,
+    and the one for a single array on every edge, along one order.
+
+    Batched programs follow elimination_plan(g).  Unbatched ones follow the
+    sharing order of _min_fill when that gives the single-array program no
+    more width and a lower _Program.cost (fewer matmul and einsum steps,
+    then fewer steps), and elimination_plan(g) otherwise; a tie keeps it.
+    """
+    greedy = elimination_plan(g).order
+    programs = _compiled(g, greedy, batched)
+    sharing = greedy if batched else _min_fill(g, True).order
+    if sharing != greedy:
+        shared = _compiled(g, sharing, batched)
+        if shared[1].widest <= programs[1].widest and shared[1].cost() < programs[1].cost():
+            programs = shared
+    return programs
 
 
 def _program(g: Graph, batched: bool, uniform: bool = False) -> _Program:
@@ -445,7 +493,7 @@ def density(h: Graph, w: StepKernel) -> float:
     """Homomorphism density t(h, w); 1.0 for edgeless h.
 
     Each connected component with edges is contracted along its own cached
-    greedy plan, and the component values are multiplied.
+    elimination order, and the component values are multiplied.
     """
     return float(_contract(h, w.measures, w.values))
 

@@ -189,6 +189,7 @@ class DiracMixture:
     atoms: tuple[tuple[float, float], ...]
     _cumulative: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _value_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = tuple((float(v), float(p)) for v, p in self.atoms)
@@ -207,6 +208,7 @@ class DiracMixture:
         # picks the last atom, hence the repeated last value.
         object.__setattr__(self, "_cumulative", tuple(accumulate(p for _, p in atoms)))
         object.__setattr__(self, "_values", tuple(v for v, _ in atoms) + (atoms[-1][0],))
+        object.__setattr__(self, "_value_array", np.array(self._values))
 
     @property
     def mean(self) -> float:
@@ -218,9 +220,9 @@ class DiracMixture:
         return self._values[bisect_right(self._cumulative, u)]
 
     def pick_many(self, u: np.ndarray) -> np.ndarray:
-        """pick applied to every entry of the quantile array u, in one
-        vectorized search over the same running sums."""
-        return np.asarray(self._values)[np.searchsorted(self._cumulative, u, side="right")]
+        """pick applied to every entry of the quantile array u: the index
+        of its atom is the number of running sums at or below it."""
+        return self._value_array[sum(u >= c for c in self._cumulative)]
 
 
 def dirac_d1() -> DiracMixture:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 import sys
 import tracemalloc
 
@@ -269,14 +271,88 @@ def test_shared_steps_give_the_bits_of_the_unshared_program(data):
 
 
 @pytest.mark.parametrize("host, unbatched, batched", [
-    (Q3, (16, 12), (15, 11)),
-    (complete_bipartite(2, 3), (11, 8), (10, 7)),  # the three W.D.W products are one
-    (cycle(6), (12, 9), (11, 8)),  # the four W.D products of the sweep are one
+    (Q3, (15, 9), (15, 11)),
+    (complete_bipartite(2, 3), (10, 6), (10, 7)),  # the three W.D.W products are one
+    (cycle(6), (12, 8), (11, 8)),  # batched, the four W.D products of the sweep are one
     (complete(4), (8, 8), (7, 7)),  # nothing to share
+    (K33, (11, 7), (10, 6)),
+    (complete_bipartite(3, 4), (13, 7), (14, 10)),
 ])
 def test_step_counts_with_one_array_on_every_edge(host, unbatched, batched):
     for flag, counts in ((False, unbatched), (True, batched)):
         assert (len(core._program(host, flag).steps), len(core._program(host, flag, True).steps)) == counts
+
+
+@pytest.mark.parametrize("host, matmuls", [
+    (cycle(4), 1),
+    (complete_bipartite(2, 3), 1),
+    (K33, 2),
+    (complete_bipartite(3, 4), 2),
+    (Q3, 2),  # and one einsum
+])
+def test_single_array_matmuls_under_random_labelings(host, matmuls):
+    # The sharing order sums out one side of a bipartite host (alternate
+    # vertices of C4) first, so their identical steps run once, whatever
+    # the labeling.
+    rng = random.Random(0)
+    for _ in range(200):
+        perm = list(range(host.vertex_count))
+        rng.shuffle(perm)
+        program = core._program(host.relabel(dict(enumerate(perm))), False, True)
+        assert sum(1 for key in program.keys if key[0] == "matmul") == matmuls
+
+
+def _layout(program):
+    """Everything of a program but its closures."""
+    return program._replace(steps=tuple((ins, out) for _, ins, out in program.steps))
+
+
+def test_programs_over_the_graph_atlas():
+    # Every connected graph on 2 to 7 vertices, as networkx's atlas labels
+    # it.  The unbatched programs keep the plan's width, never cost more
+    # than the greedy-order compile, and agree to the bit; the batched
+    # programs are that compile, step for step.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(0)
+    measures = rng.uniform(0.5, 1.5, 3)
+    measures /= measures.sum()
+    upper = np.triu(rng.uniform(-1.0, 1.0, (3, 3)))
+    values = upper + np.triu(upper, 1).T
+    count = 0
+    for a in nx.graph_atlas_g():
+        if a.number_of_edges() == 0 or not nx.is_connected(a):
+            continue
+        count += 1
+        g = _graph(a.number_of_nodes(), sorted(tuple(sorted(e)) for e in a.edges()))
+        plan = elimination_plan(g)
+        distinct, uniform = core._programs(g, False)
+        assert distinct.widest == uniform.widest == plan.width
+        greedy = core._compiled(g, plan.order, False)[1]
+        assert uniform.cost() <= greedy.cost()
+        arrays = [values] * g.edge_count
+        assert _bits(core._run(uniform, measures, arrays)) == _bits(core._run(distinct, measures, arrays))
+        batched = core._programs(g, True)
+        assert list(map(_layout, batched)) == list(map(_layout, core._compiled(g, plan.order, True)))
+    assert count == 995
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([4, 6, 8]), st.sampled_from([64, 96, 128]), st.integers(0, 2**32 - 1), st.data())
+def test_even_cycle_densities_match_the_spectrum(length, parts, seed, data):
+    # t(C_2k, W) = tr((D^1/2 V D^1/2)^2k), the sum of lambda^2k over the
+    # eigenvalues of D^1/2 V D^1/2: an oracle at part counts that brute
+    # force cannot reach, for the programs of both unbatched densities.
+    # Every lambda^2k is nonnegative, so the sum is its own absolute scale.
+    h = data.draw(relabeled(st.just(cycle(length))))
+    rng = np.random.default_rng(seed)
+    measures = rng.uniform(0.2, 1.0, parts)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (parts, parts)))
+    w = StepKernel(measures / measures.sum(), upper + np.triu(upper, 1).T)
+    root = np.sqrt(w.measures)
+    powers = np.linalg.eigvalsh(root[:, None] * w.values * root) ** length
+    expected = math.fsum(powers)
+    for value in (density(h, w), decorated_density(Decoration.uniform(h, w))):
+        assert abs(value - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("host, widest", [(Q3, 3), (K33, 3), (complete(4), 3), (cycle(6), 2)])

@@ -246,6 +246,25 @@ def test_mixture_pick_many_matches_pick(d, us):
     assert picked.tolist() == [d.pick(q) for q in qs.tolist()]
 
 
+@st.composite
+def mixtures(draw):
+    """1-4 atoms with values in [0, 1] and integer weights over their sum."""
+    count = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    weights = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count))
+    return DiracMixture(tuple((v, w / sum(weights)) for v, w in zip(values, weights)))
+
+
+@given(mixtures(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_random_mixture_pick_many_matches_pick(d, us):
+    # pick_many counts the running sums at or below each quantile; pick
+    # bisects them.  Each running sum and its neighboring floats are drawn.
+    edges = _boundaries(d)
+    qs = np.array(us + [0.0] + [q for b in edges for q in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0))])
+    qs = qs[qs < 1.0]
+    assert d.pick_many(qs).tolist() == [d.pick(q) for q in qs.tolist()]
+
+
 def test_one_minus_sample_looks_like_sample():
     # 1 - U has the same block distribution as U; paired densities at n=64
     # should show no systematic gap.
