@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import graphnorms
 from graphnorms import (
+    complete_bipartite,
     constant_kernel,
+    cycle,
     disjoint_union,
     half_square_kernel,
     kernel_to_json,
@@ -176,6 +178,30 @@ def test_check_two_stars_consistent(tmp_path, capsys, k12):
     structural = {c["name"]: c["status"] for c in verdict["checks"]}
     assert structural["component-isomorphism"] == "pass"
     assert structural["component-average-degree"] == "pass"
+
+
+@pytest.mark.parametrize("flag", [["--budget", "0"], ["--max-subgraph-vertices", "0"]])
+def test_check_rejects_bad_search_settings_before_the_components(tmp_path, capsys, c4, c6, flag):
+    # C4+C6 would be refuted by its components alone
+    for g in (c4, disjoint_union(c4, c6)):
+        assert main(["check", write_graph(tmp_path, g), *flag]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("copies", [(complete_bipartite(3, 4), 2), (cycle(8), 3)])
+def test_check_copies_of_a_component_past_the_subset_limit(tmp_path, capsys, copies):
+    # 24 edges in all, but the subgraph scan runs on one 12- or 8-edge copy
+    g, k = copies
+    code = main(["check", write_graph(tmp_path, disjoint_union(*[g] * k)), "--budget", "50"])
+    verdict = json.loads(capsys.readouterr().out)
+    assert code in (0, 3)
+    assert verdict["checks"][4]["name"] == "subgraph-average-degree"
+
+
+def test_check_connected_host_past_the_subset_limit(tmp_path, capsys):
+    # the documented limit of the exhaustive scan (ROADMAP item 4)
+    assert main(["check", write_graph(tmp_path, complete_bipartite(5, 5)), "--budget", "5"]) == 2
+    assert "2^25 edge subsets" in capsys.readouterr().err
 
 
 def test_check_edgeless_graph(tmp_path, capsys):

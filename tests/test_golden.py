@@ -4,12 +4,14 @@ The determinism tests elsewhere compare a run with itself, so a refactor
 could silently change every seeded number; these files pin the numbers.
 A golden file changes only in a change that says why.  Large JSON outputs
 (witness kernels embedded) are stored gzip-compressed.  The cert-*.json
-inputs are certificates taken from the check outputs, plus one domination
-certificate (C4 in C4+C6 under the dyadic (1, 1) kernel) and one forged
-non-isomorphism certificate; refuted checks and rejected certificates exit
-3, so every case carries its exit code.
+inputs are the certificates of the check outputs (EMITTED, each equal to
+its certificate in the check golden), certificates that earlier check
+outputs carried, one domination certificate (C4 in C4+C6 under the dyadic
+(1, 1) kernel) and one forged non-isomorphism certificate; refuted checks
+and rejected certificates exit 3, so every case carries its exit code.
 
-To (re)capture every file from the current code, or only the named ones:
+To (re)capture every file from the current code, or only the named ones
+(an EMITTED certificate is taken from a fresh run of its check):
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
@@ -20,6 +22,7 @@ import contextlib
 import difflib
 import gzip
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -40,14 +43,27 @@ for _graph in ("c4", "k23"):
             "moduli", f"{_graph}.txt", "--kind", _kind, *_MODULI_GRID, "--format", "json", "--witnesses",
         ])
 CASES["check-k23-weak.json"] = (0, ["check", "k23.txt", "--mode", "weak", "--budget", "1000", "--seed", "0"])
-# refuted hosts, together covering every certificate kind: case -> (mode, certificates in the verdict)
-_REFUTED = {"k4k3-weak": ("weak", 4), "c4c6-weak": ("weak", 3), "p4k13-weak": ("weak", 2), "k23-semi": ("semi", 1)}
-_REJECTED = {"k4k3-weak-3"}  # a Hoelder hit with rhs 0 and lhs below the 1e-12 floor of validation
+# refuted hosts, together covering every certificate kind: case -> (mode, certificates in the verdict).
+# P4+P4 carries a Hoelder hit on one P4, lifted to both copies.
+_REFUTED = {
+    "k4k3-weak": ("weak", 2), "c4c6-weak": ("weak", 2), "p4k13-weak": ("weak", 1), "k23-semi": ("semi", 1),
+    "p4p4-weak": ("weak", 1),
+}
+# cert-<case>-<i>.json -> (check-<case>.json, i): the certificate it must equal
+EMITTED = {f"cert-{c}-{i}.json": (f"check-{c}.json", i) for c, (_, n) in _REFUTED.items() for i in range(n)}
+# Certificates that check emitted before components that are not all
+# isomorphic settled the verdict alone, kept as validate inputs -> exit
+# code: the subgraph-scan hit on K4+K3 and the Hoelder hits on K4+K3, C4+C6
+# and P4+K1,3.  k4k3-weak-3 has rhs 0 and lhs below the 1e-12 floor of
+# validation, so it is rejected.
+_STANDALONE = {"k4k3-weak-2": 0, "k4k3-weak-3": 3, "c4c6-weak-2": 0, "p4k13-weak-1": 0}
 for _case, (_mode, _certs) in _REFUTED.items():
     _graph = _case.split("-")[0]
     CASES[f"check-{_case}.json"] = (3, ["check", f"{_graph}.txt", "--mode", _mode, "--budget", "300", "--seed", "0"])
-    for _cert in (f"{_case}-{_i}" for _i in range(_certs)):
-        CASES[f"validate-{_cert}.txt"] = (3 if _cert in _REJECTED else 0, ["validate", f"cert-{_cert}.json"])
+    for _i in range(_certs):
+        CASES[f"validate-{_case}-{_i}.txt"] = (0, ["validate", f"cert-{_case}-{_i}.json"])
+for _cert, _code in _STANDALONE.items():
+    CASES[f"validate-{_cert}.txt"] = (_code, ["validate", f"cert-{_cert}.json"])
 CASES["validate-c4c6-domination.txt"] = (0, ["validate", "cert-c4c6-domination.json"])
 # cert-c4c6-weak-1 (pair C4, C6) with its host replaced by C4+C4: the pair is
 # not the host's components, so it is rejected
@@ -100,15 +116,27 @@ def test_golden_output(name):
         pytest.fail("output differs from the golden file:\n" + "\n".join(list(diff)[:40]))
 
 
+@pytest.mark.parametrize("name", sorted(EMITTED))
+def test_certificate_fixture_is_what_check_emits(name):
+    check, index = EMITTED[name]
+    assert json.loads(_read(name)) == json.loads(_read(check))["certificates"][index]
+
+
 if __name__ == "__main__":
-    _names = sys.argv[1:] or sorted(CASES)
-    _unknown = [n for n in _names if n not in CASES]
+    # certificates first, so that the validate cases read the new ones
+    _names = sys.argv[1:] or [*sorted(EMITTED), *sorted(CASES)]
+    _unknown = [n for n in _names if n not in CASES and n not in EMITTED]
     if _unknown:
         sys.exit(f"unknown golden case(s): {', '.join(_unknown)}")
     for _name in _names:
-        _expected, _argv = CASES[_name]
-        _code, _out = _run(_argv)
-        if _code != _expected:
-            sys.exit(f"{_name}: exit code {_code}, expected {_expected}")
+        if _name in EMITTED:
+            _check, _index = EMITTED[_name]
+            _code, _out = _run(CASES[_check][1])
+            _out = json.dumps(json.loads(_out)["certificates"][_index], indent=2) + "\n"
+        else:
+            _expected, _argv = CASES[_name]
+            _code, _out = _run(_argv)
+            if _code != _expected:
+                sys.exit(f"{_name}: exit code {_code}, expected {_expected}")
         _write(_name, _out)
         print(f"wrote {_name} ({len(_out)} chars)")
