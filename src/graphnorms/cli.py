@@ -94,13 +94,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     if h.edge_count == 0:
         raise InputError("graph has no edges; nothing to check")
-    verdict = full_verdict(
-        h,
-        mode=args.mode,
-        trials=args.budget,
-        seed=args.seed,
-        max_subgraph_vertices=args.max_subgraph_vertices,
-    )
+    verdict = full_verdict(h, mode=args.mode, trials=args.budget, seed=args.seed)
     print(json.dumps(verdict_to_json(verdict), indent=2))
     if args.certificate_out and verdict.certificates:
         Path(args.certificate_out).write_text(
@@ -155,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["weak", "semi"], default="weak")
     p.add_argument("--budget", type=int, default=1000, help="search trials (default 1000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-subgraph-vertices", type=int, default=8)
     p.add_argument("--certificate-out", help="write the first certificate to this file")
     p.set_defaults(func=cmd_check)
 

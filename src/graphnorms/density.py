@@ -286,10 +286,8 @@ def _oriented(factors: list, layout: tuple, symmetric: range) -> list[tuple]:
 
 def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
     """Emit the steps that sum v out of group; return the new (vars, slot).
-    Slots in `symmetric` hold arrays symmetric in their two vertex axes."""
-    if len(group) == 1:
-        ((vs, slot),) = group
-        return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
+    Slots in `symmetric` hold arrays symmetric in their two vertex axes.
+    group holds v's measure vector and another factor: v lies on an edge."""
 
     def multiply(factors, layout):
         return emit(_product_step(_oriented(factors, layout, symmetric), layout), [f[1] for f in factors], layout)
@@ -499,20 +497,22 @@ def density(h: Graph, w: StepKernel) -> float:
 
 
 def density_many(h: Graph, kernels: Sequence[StepKernel]) -> np.ndarray:
-    """t(h, w_i) for several kernels on one shared partition, in one pass."""
+    """t(h, w_i) for several kernels on one shared partition, in batched
+    passes over slices of _max_batch kernels: one in all but very wide hosts."""
     if not kernels:
         return np.empty(0)
     base = kernels[0]
     for k in kernels[1:]:
         if not base.same_partition(k):
             raise PartitionMismatchError("density_many: kernels must share one partition")
-    stack = np.stack([k.values for k in kernels])
-    return np.ones(len(kernels)) * _contract(h, base.measures, stack, batch=len(kernels))
+    step = _max_batch(h, base.part_count)
+    stacks = [np.stack([k.values for k in kernels[i:i + step]]) for i in range(0, len(kernels), step)]
+    return np.concatenate([np.ones(len(s)) * _contract(h, base.measures, s, batch=len(s)) for s in stacks])
 
 
-def max_batch(h: Graph, parts: int) -> int:
-    """Most kernels of `parts` parts that one density_many(h, ...) call can
-    batch without a step over CONTRACTION_LIMIT.  At least 1, so a graph too
+def _max_batch(h: Graph, parts: int) -> int:
+    """Most kernels of `parts` parts that one batched contraction of h can
+    hold without a step over CONTRACTION_LIMIT.  At least 1, so a graph too
     wide even for one kernel still meets the guard's error."""
     per_kernel = max((parts ** _program(c.graph, True).widest for c in edge_components(h)), default=1)
     return max(1, CONTRACTION_LIMIT // per_kernel)

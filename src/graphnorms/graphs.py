@@ -21,6 +21,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+# Most edges enumerate_subgraphs walks the 2^m edge subsets of.
+MAX_SUBSET_EDGES = 22
+
 
 class GraphParseError(ValueError):
     """Raised for malformed edge-list text or graph JSON documents."""
@@ -382,7 +385,7 @@ def enumerate_subgraphs(g: Graph, max_vertices: int) -> Iterator[Graph]:
         raise ValueError("max_vertices must be at least 1")
     es = g.sorted_edges
     m = len(es)
-    if m > 22:
+    if m > MAX_SUBSET_EDGES:
         raise ValueError(f"refusing exhaustive enumeration over 2^{m} edge subsets")
     # Relabel g onto its own sorted support first: that keeps every order,
     # and the bitmasks then have at most 2m bits, however large the labels.

@@ -24,8 +24,9 @@ from functools import partial
 
 import numpy as np
 
-from .density import Decoration, decorated_density, density, density_many, max_batch
+from .density import Decoration, decorated_density, density, density_many
 from .graphs import (
+    MAX_SUBSET_EDGES,
     Component,
     Graph,
     _json_edge,
@@ -71,6 +72,9 @@ AVG_DEGREE_VIOLATION = "avg-degree-violation"
 EDGE_COUNT_MISMATCH = "edge-count-mismatch"
 COMPONENT_NONISOMORPHISM = "component-nonisomorphism"
 DENSITY_DOMINATION_VIOLATION = "density-domination-violation"
+
+# Most vertices of the subgraphs that subgraph_avg_degree_check scans.
+SUBGRAPH_VERTICES = 8
 
 CONSISTENT = "consistent-with-weakly-norming"
 REFUTED = "refuted"
@@ -137,7 +141,6 @@ class Verdict:
     overall: str
     seed: int
     trials: int
-    max_subgraph_vertices: int
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +160,11 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
     and the bound takes absolute values.  A ratio above 1 refutes the
     corresponding norming property of h.  In floats, `violated` needs a
     ratio above 1 + CHECK_TOL, holder_search mints a certificate only above
-    1 + SEARCH_TOL, and validate_certificate applies _violates at its
-    margin (CHECK_TOL by default).  A side whose magnitude
-    overflows is reported as inf and leaves the ratio nan: such a
-    decoration decides nothing, so it never refutes.
+    1 + SEARCH_TOL, and validate_certificate applies _holder_rule at
+    its margin (CHECK_TOL by default).  The m terms of the product come
+    from one density_many call.  A side whose magnitude overflows is
+    reported as inf and leaves the ratio nan: such a decoration decides
+    nothing, so it never refutes.
     """
     _require_mode(mode)
     if d.host != h:
@@ -172,11 +176,7 @@ def holder_check(h: Graph, d: Decoration, mode: str = "weak") -> HolderReport:
         for e, w in sorted(d.kernels.items()):
             if not is_nonnegative(w):
                 raise ValueError(f"weak mode requires non-negative kernels; edge {e} is signed")
-    # one batched call per slice that fits the contraction limit; one in all
-    # but very wide hosts
-    kernels = [d.kernels[e] for e in h.sorted_edges]
-    step = max_batch(h, kernels[0].part_count)
-    terms = np.concatenate([density_many(h, kernels[i:i + step]) for i in range(0, m, step)])
+    terms = density_many(h, [d.kernels[e] for e in h.sorted_edges])
     try:
         lhs = decorated_density(d) ** m
     except OverflowError:
@@ -316,7 +316,9 @@ def holder_search(h: Graph, trials: int, seed: int = 0, mode: str = "weak") -> C
 
 def _violates(lhs: float, rhs: float, margin: float) -> bool:
     """Violation test for minting structural certificates (at CHECK_TOL) and
-    for validating every certificate (at the caller's margin)."""
+    for validating certificates (at the caller's margin).  Where rhs = 0, a
+    float lhs must clear a floor of 1e-12; _holder_rule decides weak
+    Hoelder certificates there exactly instead."""
     if rhs > 0.0:
         return lhs > rhs * (1.0 + margin)
     return lhs > 1e-12
@@ -342,43 +344,35 @@ def _half_square_certificate(h: Graph, f: Graph, note: str) -> Certificate:
     return Certificate(AVG_DEGREE_VIOLATION, h, "weak", lhs, rhs, kernel=u, subgraph=f, note=note)
 
 
-def subgraph_avg_degree_check(
-    h: Graph, max_subgraph_vertices: int = 8
-) -> tuple[CheckResult, Certificate | None]:
+def subgraph_avg_degree_check(h: Graph) -> tuple[CheckResult, Certificate | None]:
     """Fail if some subgraph of h has strictly larger average degree.
 
     Comparison is exact rational.  Enumeration covers every edge-subset
-    subgraph spanning at most max_subgraph_vertices vertices; the cap is
-    reported as a completeness qualifier.
+    subgraph spanning at most SUBGRAPH_VERTICES vertices; the cap is
+    reported as a completeness qualifier.  A graph with more than
+    MAX_SUBSET_EDGES edges is not scanned: its entry is "inconclusive" and
+    gives the edge count.
     """
     if h.vertex_count == 0 or h.edge_count == 0:
         raise ValueError("need a graph with at least one edge")
     if min(h.degrees()) == 0:
         raise ValueError("strip isolated vertices before the subgraph check")
+    name = "subgraph-average-degree"
+    if h.edge_count > MAX_SUBSET_EDGES:
+        evidence = f"not scanned: {h.edge_count} edges, over the {MAX_SUBSET_EDGES}-edge subset limit"
+        return CheckResult(name, "inconclusive", evidence), None
     count = 0
-    for f in enumerate_subgraphs(h, max_subgraph_vertices):
+    for f in enumerate_subgraphs(h, SUBGRAPH_VERTICES):
         count += 1
         # e(f)/v(f) > e(h)/v(h) in integers; Fractions only for the evidence text
         if f.edge_count * h.vertex_count > h.edge_count * f.vertex_count:
-            host_degree = average_degree(h)
-            cert = _half_square_certificate(
-                h,
-                f,
-                f"subgraph with {f.edge_count} edges on {f.vertex_count} vertices has "
-                f"average degree {average_degree(f)} > {host_degree}",
-            )
-            result = CheckResult(
-                "subgraph-average-degree",
-                "fail",
-                f"subgraph average degree {average_degree(f)} exceeds {host_degree}",
-            )
-            return result, cert
-    result = CheckResult(
-        "subgraph-average-degree",
-        "pass",
-        f"checked {count} edge-subset subgraphs up to {max_subgraph_vertices} vertices",
-    )
-    return result, None
+            sub, host = average_degree(f), average_degree(h)
+            note = f"subgraph with {f.edge_count} edges on {f.vertex_count} vertices has "
+            note += f"average degree {sub} > {host}"
+            result = CheckResult(name, "fail", f"subgraph average degree {sub} exceeds {host}")
+            return result, _half_square_certificate(h, f, note)
+    evidence = f"checked {count} edge-subset subgraphs up to {SUBGRAPH_VERTICES} vertices"
+    return CheckResult(name, "pass", evidence), None
 
 
 def edge_mismatch_certificate(h: Graph) -> Certificate:
@@ -585,20 +579,15 @@ def _lifted(g: Graph, copy: Component, found: Certificate) -> Certificate | None
     return Certificate(HOLDER_VIOLATION, g, found.mode, report.lhs, report.rhs, decoration=d, note=found.note)
 
 
-def full_verdict(
-    h: Graph,
-    mode: str = "weak",
-    trials: int = 1000,
-    seed: int = 0,
-    max_subgraph_vertices: int = 8,
-) -> Verdict:
+def full_verdict(h: Graph, mode: str = "weak", trials: int = 1000, seed: int = 0) -> Verdict:
     """Run the structural checks and the randomized search; aggregate.
 
     Components that are not all isomorphic refute the host with the
     certificates of component_analysis alone.  Otherwise the host is k
     copies of a connected F (k = 1 when connected): the subgraph scan, the
     semi-mode shape checks and the Hoelder search run once, on F, and their
-    hits are lifted to the host.
+    hits are lifted to the host.  An unscanned F (subgraph_avg_degree_check)
+    leaves the other checks to decide.
 
     The verdict is one-sided: "refuted" always carries certificates, and
     the best positive outcome is "consistent".  A failed check without an
@@ -608,8 +597,6 @@ def full_verdict(
     _require_mode(mode)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if max_subgraph_vertices < 1:
-        raise ValueError("max_subgraph_vertices must be at least 1")
     if h.edge_count == 0:
         raise ValueError("need a graph with at least one edge")
 
@@ -622,7 +609,7 @@ def full_verdict(
 
     if not certs:
         copy = edge_components(g)[0]
-        sub_check, sub_cert = subgraph_avg_degree_check(copy.graph, max_subgraph_vertices)
+        sub_check, sub_cert = subgraph_avg_degree_check(copy.graph)
         checks.append(sub_check)
         if sub_cert is not None:
             certs.append(_half_square_certificate(g, sub_cert.subgraph, sub_cert.note))
@@ -644,16 +631,7 @@ def full_verdict(
         overall = INCONCLUSIVE
     else:
         overall = CONSISTENT
-    return Verdict(
-        graph=h,
-        mode=mode,
-        checks=tuple(checks),
-        certificates=tuple(certs),
-        overall=overall,
-        seed=seed,
-        trials=trials,
-        max_subgraph_vertices=max_subgraph_vertices,
-    )
+    return Verdict(h, mode, tuple(checks), tuple(certs), overall, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +645,30 @@ def _consistent(stored: float, recomputed: float) -> bool:
 def _holder_sides(cert: Certificate) -> tuple[float, float]:
     report = holder_check(cert.graph, cert.decoration, cert.mode)
     return report.lhs, report.rhs
+
+
+def _holder_rule(cert: Certificate, lhs: float, rhs: float, margin: float) -> bool:
+    """_violates, except that a weak rhs of 0 is decided exactly.
+
+    Weak kernels are non-negative, so nothing cancels: a float lhs > 0 is
+    exact, and so is a float t(h, W_e) = 0 once every nonzero product, at
+    least min(1, smallest positive value)^e * (smallest measure)^v for the
+    e edges and v vertices on them, is above 2^-1000 and cannot underflow.
+    """
+    if cert.mode == "semi" or rhs != 0.0:
+        return _violates(lhs, rhs, margin)
+    h = cert.graph
+    v = len({u for e in h.edges for u in e})
+    for w in cert.decoration.kernels.values():
+        smallest = float(w.values[w.values > 0.0].min(initial=1.0))
+        floor = h.edge_count * math.log2(smallest) + v * math.log2(float(w.measures.min()))
+        if lhs > 0.0 and floor > -1000.0 and density(h, w) == 0.0:
+            return True
+    return False
+
+
+def _floor_rule(cert: Certificate, lhs: float, rhs: float, margin: float) -> bool:
+    return _violates(lhs, rhs, margin)
 
 
 def _subgraph_sides(cert: Certificate) -> tuple[float, float] | str:
@@ -698,16 +700,17 @@ def _component_sides(cert: Certificate) -> tuple[float, float] | str | None:
 
 _VIOLATION = "violation reproduced: {0!r} > {1!r}"
 
-# certificate kind -> (payload fields it must carry, sides function, detail
-# of a passed validation formatted with the sides).  A sides function gets
-# that payload and returns the recomputed (lhs, rhs), an error for a bad
-# payload, or None when the payload carries no inequality.
+# certificate kind -> (payload fields it must carry, sides function, its
+# violation test at a margin, detail of a passed validation formatted with
+# the sides).  A sides function gets that payload and returns the
+# recomputed (lhs, rhs), an error for a bad payload, or None when the
+# payload carries no inequality.
 _KINDS = {
-    HOLDER_VIOLATION: (("decoration",), _holder_sides, _VIOLATION),
-    EDGE_COUNT_MISMATCH: (("decoration",), _holder_sides, _VIOLATION),
-    AVG_DEGREE_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _VIOLATION),
-    DENSITY_DOMINATION_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _VIOLATION),
-    COMPONENT_NONISOMORPHISM: (("pair",), _component_sides, "components re-verified non-isomorphic"),
+    HOLDER_VIOLATION: (("decoration",), _holder_sides, _holder_rule, _VIOLATION),
+    EDGE_COUNT_MISMATCH: (("decoration",), _holder_sides, _holder_rule, _VIOLATION),
+    AVG_DEGREE_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _floor_rule, _VIOLATION),
+    DENSITY_DOMINATION_VIOLATION: (("kernel", "subgraph"), _subgraph_sides, _floor_rule, _VIOLATION),
+    COMPONENT_NONISOMORPHISM: (("pair",), _component_sides, _floor_rule, "components re-verified non-isomorphic"),
 }
 
 
@@ -723,7 +726,7 @@ def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[
         raise ValueError(f"margin {margin} must be finite and at least {CHECK_TOL}")
     if cert.kind not in _KINDS:
         return False, f"unknown certificate kind {cert.kind!r}"
-    payload, sides_of, detail = _KINDS[cert.kind]
+    payload, sides_of, violates, detail = _KINDS[cert.kind]
     for field in payload:
         if getattr(cert, field) is None:
             return False, f"certificate is missing its {field} payload"
@@ -736,7 +739,7 @@ def validate_certificate(cert: Certificate, margin: float = CHECK_TOL) -> tuple[
         lhs, rhs = sides
         if not (_consistent(cert.lhs, lhs) and _consistent(cert.rhs, rhs)):
             return False, f"stored sides ({cert.lhs!r}, {cert.rhs!r}) do not reproduce ({lhs!r}, {rhs!r})"
-        if not _violates(lhs, rhs, margin):
+        if not violates(cert, lhs, rhs, margin):
             return False, f"inequality not violated at margin {margin}"
     return True, detail.format(*(sides or ()))
 
@@ -826,7 +829,6 @@ def verdict_to_json(v: Verdict) -> dict:
         "mode": v.mode,
         "seed": v.seed,
         "trials": v.trials,
-        "max_subgraph_vertices": v.max_subgraph_vertices,
         "checks": [{"name": c.name, "status": c.status, "evidence": c.evidence} for c in v.checks],
         "certificates": [certificate_to_json(c) for c in v.certificates],
         "overall": v.overall,

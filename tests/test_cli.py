@@ -180,7 +180,7 @@ def test_check_two_stars_consistent(tmp_path, capsys, k12):
     assert structural["component-average-degree"] == "pass"
 
 
-@pytest.mark.parametrize("flag", [["--budget", "0"], ["--max-subgraph-vertices", "0"]])
+@pytest.mark.parametrize("flag", [["--budget", "0"]])
 def test_check_rejects_bad_search_settings_before_the_components(tmp_path, capsys, c4, c6, flag):
     # C4+C6 would be refuted by its components alone
     for g in (c4, disjoint_union(c4, c6)):
@@ -199,9 +199,16 @@ def test_check_copies_of_a_component_past_the_subset_limit(tmp_path, capsys, cop
 
 
 def test_check_connected_host_past_the_subset_limit(tmp_path, capsys):
-    # the documented limit of the exhaustive scan (ROADMAP item 4)
-    assert main(["check", write_graph(tmp_path, complete_bipartite(5, 5)), "--budget", "5"]) == 2
-    assert "2^25 edge subsets" in capsys.readouterr().err
+    # 25 edges: the subgraph scan reports the edge count instead of
+    # enumerating 2^25 subsets, and the Hoelder search still runs
+    code = main(["check", write_graph(tmp_path, complete_bipartite(5, 5)), "--budget", "5"])
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 0
+    scan = next(c for c in verdict["checks"] if c["name"] == "subgraph-average-degree")
+    assert scan["status"] == "inconclusive"
+    assert "25 edges" in scan["evidence"]
+    assert verdict["checks"][-1]["name"] == "holder-search"
+    assert "max_subgraph_vertices" not in verdict
 
 
 def test_check_edgeless_graph(tmp_path, capsys):
@@ -372,7 +379,11 @@ def _repeated_edge(decoration):
     decoration["kernels"].append(decoration["kernels"][0])
 
 
-@pytest.mark.parametrize("edit", [_float_edge, _string_edge, _float_host_edge, _repeated_edge])
+def _missing_kernel(decoration):
+    decoration["kernels"].pop()
+
+
+@pytest.mark.parametrize("edit", [_float_edge, _string_edge, _float_host_edge, _repeated_edge, _missing_kernel])
 def test_validate_rejects_malformed_decoration_edges(tmp_path, capsys, edit):
     doc = json.loads((GOLDEN / "cert-c4c6-weak-0.json").read_text())
     edit(doc["decoration"])
@@ -383,6 +394,16 @@ def test_validate_rejects_malformed_decoration_edges(tmp_path, capsys, edit):
     assert code == 2
     assert "malformed certificate" in captured.err
     assert captured.out == ""
+
+
+def test_validate_rejects_a_subgraph_that_does_not_embed(tmp_path, capsys):
+    # the K4 of an average-degree certificate on K4+K3, replaced by K5
+    doc = json.loads((GOLDEN / "cert-k4k3-weak-0.json").read_text())
+    doc["subgraph"] = {"vertices": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
+    cert = tmp_path / "k5.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["validate", str(cert)]) == 3
+    assert "detail = stored subgraph does not embed into the host" in capsys.readouterr().out
 
 
 def test_validate_malformed_json(tmp_path, capsys):

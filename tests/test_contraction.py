@@ -379,7 +379,7 @@ def test_shared_steps_never_raise_the_peak(host, widest):
     assert peaks[True] <= peaks[False]
     for batched in (False, True):
         assert core._program(host, batched, True).widest == core._program(host, batched).widest == widest
-    assert core.max_batch(host, parts) == core.CONTRACTION_LIMIT // parts**widest
+    assert core._max_batch(host, parts) == core.CONTRACTION_LIMIT // parts**widest
     assert core.CONTRACTION_LIMIT == 2**25
 
 
@@ -425,7 +425,7 @@ def test_isolated_vertices_cost_nothing():
     tracemalloc.start()
     try:
         value = density(h, w)
-        batch = core.max_batch(h, 128)
+        batch = core._max_batch(h, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,7 +462,9 @@ def test_cost_guard_counts_the_batch():
     assert parts**3 <= core.CONTRACTION_LIMIT < parts**3 * batch
     density(complete(4), w)
     with pytest.raises(ValueError, match="limit"):
-        density_many(complete(4), [w] * batch)
+        core._contraction_jobs(complete(4), parts, batch)
+    # so density_many contracts such a stack in slices of at most 1024
+    assert core._max_batch(complete(4), parts) == batch - 1
 
 
 def test_cost_guard_exits_two_from_the_cli(tmp_path, capsys):

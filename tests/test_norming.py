@@ -123,22 +123,33 @@ def test_holder_check_splits_a_batch_over_the_contraction_limit(monkeypatch):
     h, parts = complete(4), 8
     rng = random.Random(11)
     d = Decoration(h, {e: sample_block_random(parts, dirac_d2(), rng.randint(0, 10**9)) for e in h.sorted_edges})
-    calls = []
+    kernels = [d.kernels[e] for e in h.sorted_edges]
+    calls, batches = [], []
 
-    def counted(g, kernels):
-        calls.append(len(kernels))
-        return core.density_many(g, kernels)
+    def counted(g, ks):
+        calls.append(len(ks))
+        return core.density_many(g, ks)
 
+    def contract(g, measures, edge_array, batch=None):
+        batches.append(batch)
+        return original(g, measures, edge_array, batch)
+
+    original = core._contract
     monkeypatch.setattr(norming, "density_many", counted)
+    monkeypatch.setattr(core, "_contract", contract)
     whole = holder_check(h, d)
+    slices = np.concatenate([core.density_many(h, kernels[:4]), core.density_many(h, kernels[4:])])
     assert calls == [6]
-    per_kernel = core.CONTRACTION_LIMIT // core.max_batch(h, parts)
+    assert batches == [6, None, 4, 2]  # the rhs batch, the lhs, then the two slices
+    per_kernel = core.CONTRACTION_LIMIT // core._max_batch(h, parts)
     monkeypatch.setattr(core, "CONTRACTION_LIMIT", 4 * per_kernel)
-    with pytest.raises(ValueError, match="limit"):
-        core.density_many(h, list(d.kernels.values()))
     calls.clear()
+    batches.clear()
     split = holder_check(h, d)
-    assert calls == [4, 2]
+    assert calls == [6]
+    assert batches == [4, 2, None]
+    # density_many slices its stack as callers sliced it before: the same bits
+    assert core.density_many(h, kernels).tobytes() == slices.tobytes()
     assert split.lhs == whole.lhs
     assert split.rhs == pytest.approx(whole.rhs, rel=1e-14)
     assert split.rhs == pytest.approx(math.prod(density(h, d.kernels[e]) for e in h.sorted_edges), rel=1e-12)
@@ -198,6 +209,13 @@ def test_subgraph_check_fails_triangle_plus_edge(k3):
     assert cert.subgraph is not None and cert.subgraph.edge_count == 3
     ok, detail = validate_certificate(cert)
     assert ok, detail
+
+
+def test_subgraph_check_reports_a_graph_past_the_subset_limit():
+    result, cert = subgraph_avg_degree_check(complete_bipartite(5, 5))
+    assert result.status == "inconclusive"
+    assert "25 edges" in result.evidence
+    assert cert is None
 
 
 def test_subgraph_check_requires_stripped_input(c4):
@@ -460,7 +478,7 @@ def test_verdict_on_unequal_components_runs_nothing_else(monkeypatch, c4, c6, k3
             assert all(validate_certificate(c)[0] for c in v.certificates)
 
 
-@pytest.mark.parametrize("kwargs", [{"mode": "strong"}, {"trials": 0}, {"max_subgraph_vertices": 0}])
+@pytest.mark.parametrize("kwargs", [{"mode": "strong"}, {"trials": 0}])
 def test_verdict_checks_its_parameters_before_any_component_work(kwargs, c4, c6):
     for h in (c4, disjoint_union(c4, c6)):
         with pytest.raises(ValueError):
@@ -492,9 +510,9 @@ def test_verdict_on_copies_is_the_verdict_on_one_copy(f, k, mode, seed):
     assert searched == [c for c in many.checks if c.name == "holder-search"]
     assert [c.kind for c in many.certificates] == [c.kind for c in one.certificates]
     for lifted, cert in zip(many.certificates, one.certificates):
-        # A Hoelder hit with rhs = 0 that floats decide can fail validation
-        # on F already (ROADMAP item 3); the lift keeps its lhs, so it never
-        # turns a valid certificate into a rejected one, or back.
+        # A semi Hoelder hit with rhs = 0 can fail validation on F already
+        # (ROADMAP item 3); the lift keeps its lhs, so it never turns a
+        # valid certificate into a rejected one, or back.
         assert validate_certificate(_round_trip(lifted))[0] == validate_certificate(_round_trip(cert))[0]
         if cert.kind == HOLDER_VIOLATION:
             assert lifted.lhs == pytest.approx(cert.lhs, rel=1e-9)
@@ -532,6 +550,22 @@ def test_lift_that_no_longer_violates_mints_nothing(monkeypatch, p4):
     entry = v.checks[-1]
     assert entry.name == "holder-search" and entry.status == "fail"
     assert "no certified violation" in entry.evidence
+
+
+@pytest.mark.parametrize("mode", ["weak", "semi"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_verdict_refutes_by_the_subgraph_scan(k, mode):
+    # K4 plus a pendant edge: K4's average degree 3 beats the host's 14/5
+    f = Graph.from_edges([*complete(4).edges, (3, 4)])
+    h = disjoint_union(*[f] * k)
+    v = full_verdict(h, mode=mode, trials=5, seed=0)
+    assert v.overall == REFUTED
+    assert next(c for c in v.checks if c.name == "subgraph-average-degree").status == "fail"
+    cert = v.certificates[0]
+    assert cert.kind == AVG_DEGREE_VIOLATION
+    assert cert.graph == h and cert.subgraph.edge_count == 6
+    ok, detail = validate_certificate(_round_trip(cert))
+    assert ok, detail
 
 
 def test_verdict_json_is_deterministic(c4, c6):
@@ -574,6 +608,41 @@ def test_nonisomorphism_pair_must_be_host_components(c4, c6):
         ok, detail = validate_certificate(certificate_from_json(doc))
         assert not ok
         assert "not components of the host" in detail
+
+
+_HALVES = np.array([0.5, 0.5])
+_BIPARTITE = StepKernel(_HALVES, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _triangle_certificate(mode, kernels):
+    """A Hoelder certificate on K3 with the given kernels on its sorted edges."""
+    k3 = complete(3)
+    d = Decoration(k3, dict(zip(k3.sorted_edges, kernels)))
+    report = holder_check(k3, d, mode)
+    return norming.Certificate(HOLDER_VIOLATION, k3, mode, report.lhs, report.rhs, decoration=d)
+
+
+def test_weak_certificate_with_an_exactly_zero_rhs_validates():
+    # t(K3, bipartite) = 0 exactly; the constant 1e-3 on the other two
+    # edges leaves lhs = (5e-7)^3, below the 1e-12 floor
+    small = StepKernel(_HALVES, np.full((2, 2), 1e-3))
+    cert = _triangle_certificate("weak", [_BIPARTITE, small, small])
+    assert cert.rhs == 0.0 and 0.0 < cert.lhs < 1e-12
+    ok, detail = validate_certificate(_round_trip(cert))
+    assert ok, detail
+    # semi mode keeps the floor
+    semi = _triangle_certificate("semi", [_BIPARTITE, small, small])
+    assert semi.rhs == 0.0 and semi.lhs == cert.lhs
+    assert validate_certificate(_round_trip(semi)) == (False, "inequality not violated at margin 1e-09")
+
+
+def test_weak_rhs_that_underflows_without_a_zero_term_is_rejected():
+    # t(K3, W) = 0.75e-200 is positive, but its square underflows to 0.0
+    tiny = StepKernel(_HALVES, np.array([[1e-200, 1.0], [1.0, 1e-200]]))
+    cert = _triangle_certificate("weak", [tiny, tiny, StepKernel(_HALVES, np.ones((2, 2)))])
+    assert cert.rhs == 0.0 and cert.lhs > 1e-12
+    assert norming._violates(cert.lhs, cert.rhs, 1e-9)  # the floor alone would accept it
+    assert validate_certificate(_round_trip(cert)) == (False, "inequality not violated at margin 1e-09")
 
 
 def test_tampered_sides_fail_validation(k3):
