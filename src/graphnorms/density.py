@@ -17,6 +17,8 @@ the largest component and mirrors the product rule for disjoint unions.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -35,6 +37,11 @@ BRUTE_FORCE_LIMIT = 10**8
 # contraction may allocate: 2^25 float64 values are 256 MiB.
 CONTRACTION_LIMIT = 2**25
 _CACHE_SIZE = 64  # compiled graphs kept; a miss recompiles, so this bounds memory only
+# Least loop (a step's output elements times the length of the axis it
+# sums, if any) that _run splits across the CPUs, and the ufunc buffer, in
+# elements, of each slice of a split product; see "Compiled elimination".
+_SPLIT_LOOP = 2**20
+_SLICE_BUFSIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,38 @@ def _min_fill(g: Graph, sharing: bool) -> EliminationPlan:
 # of its two vertex orders the reading step lays out: products multiply it
 # and matmuls take it without swapping them.  Only intermediate factors,
 # and the batch axis of a stack, are ever moved.
+#
+# A step with a large loop runs split across the usable CPUs (_split).  Its
+# loop is its output's elements times the length of the axis it sums, if
+# any; from _SPLIT_LOOP = 2^20 on, the output is computed as contiguous
+# slices of its axis 0, one per CPU, each by the step's own numpy call on
+# the matching input slices, and numpy releases the GIL inside those calls.
+# The calling thread allocates the output and computes one slice; a thread
+# that lives only for the step computes each other one.  No summed axis is
+# split, so each element of a product, sum, einsum or lead-axis matmul
+# comes from the same loop in the same order: the bits do not depend on
+# the CPU count.  A matmul without lead axes is a single BLAS call, and
+# BLAS computes a block of rows in other bits than the whole matrix
+# (OpenBLAS 0.3.31 on a Xeon: 150 of 173 random row cuts with a column
+# count not divisible by 8, and under its Haswell kernel 102 of 227 with
+# one), so it is never split.  A product slice builds only its share of a
+# partial product, and writes a partial without the output's axis 0, which
+# each slice would build whole, into the output instead; it also caps
+# numpy's broadcast buffers, allocated per call and so per slice, at
+# _SLICE_BUFSIZE elements (8192 by default), which at 64^3 elements made
+# its broadcast multiplies no slower.  So the slices together allocate no
+# more than the serial step.  Measured on 2 cores of a Xeon, per step: a
+# parts^3 product gained from 2^18 elements, a sum broke even at an input
+# of 2^20 and gained from 2^21, and a triangle einsum gained 1.6x at a
+# 2^20 loop (Q3 at 32 parts) and 1.8-2x above; 2^20 is the least power of
+# two at which no kind lost.  So K4 splits its products and sums from
+# about 102 parts and Q3 its einsum from 32, while a moduli step's loop
+# stays at 128^2 (its matmuls have no lead axes) and a process with one
+# usable CPU never starts a thread.
 
 def _sum_step(axis: int):
-    def run(a):
-        return a.sum(axis=axis)
+    def run(a, out=None):
+        return a.sum(axis=axis, out=out)
 
     return ("sum", axis), run
 
@@ -169,28 +204,42 @@ def _product_step(in_vars: list[tuple], layout: tuple):
     """
     key = ("product", len(layout), tuple([tuple([layout.index(u) for u in vs]) for vs in in_vars]))
     views = [_aligner(vs, layout) for vs in in_vars]
-    sources = [next((i, vs.index(u)) for i, vs in enumerate(in_vars) if u in vs) for u in layout]
-    full, covered, spans = set(layout), set(), []
-    for vs in in_vars:
+    sources = _sources(in_vars, layout)
+    # In a slice of a split step, a partial product without the output's
+    # axis 0 would be built whole by every slice: it, and every multiply
+    # after it, is written into the slice of the output instead.
+    full, covered, plan, into_slice = set(layout), set(), [], False
+    for k, (vs, view) in enumerate(zip(in_vars, views)):
         covered |= set(vs)
-        spans.append(covered == full)
-    plan = tuple(zip(views, spans))
+        into_slice = into_slice or (k > 0 and layout[0] not in covered)
+        plan.append((view, covered == full, into_slice))
 
-    def run(*arrays):
-        buf = np.empty([arrays[i].shape[j] for i, j in sources])
-        out = None
-        for a, ((perm, index), spanning) in zip(arrays, plan):
+    def multiply(arrays, buf, sliced: bool):
+        product = None
+        for a, ((perm, index), spanning, into_slice) in zip(arrays, plan):
             if perm is not None:
                 a = a.transpose(perm)
             if index is not None:
                 a = a[index]
-            if out is None:
-                out = a
-            elif spanning:
-                out = np.multiply(out, a, out=buf)
+            if product is None:
+                product = a
+            elif spanning or (sliced and into_slice):
+                product = np.multiply(product, a, out=buf)
             else:
-                out = np.multiply(out, a, order="C")
-        return out
+                product = np.multiply(product, a, order="C")
+        return product
+
+    def run(*arrays, out=None):
+        if out is None:
+            return multiply(arrays, np.empty([arrays[i].shape[j] for i, j in sources]), False)
+        # A slice of a split step: its partial products are its share of
+        # the serial ones, and numpy's broadcast buffers, one set per call
+        # and so per slice, stay small.
+        bufsize = np.setbufsize(_SLICE_BUFSIZE)
+        try:
+            return multiply(arrays, out, True)
+        finally:
+            np.setbufsize(bufsize)
 
     return key, run
 
@@ -199,14 +248,16 @@ def _matmul_step(x_perm, y_perm, lead: int):
     """Sum the last axis of x against axis `lead` of y, after the given transposes;
     both then start with the same `lead` axes."""
 
-    def run(x, y):
+    def run(x, y, out=None):
         if x_perm is not None:
             x = x.transpose(x_perm)
         if y_perm is not None:
             y = y.transpose(y_perm)
         head = x.shape[:lead]
-        out = np.matmul(x.reshape(head + (-1, x.shape[-1])), y.reshape(head + (y.shape[lead], -1)))
-        return out.reshape(head + x.shape[lead:-1] + y.shape[lead + 1:])
+        a, b = x.reshape(head + (-1, x.shape[-1])), y.reshape(head + (y.shape[lead], -1))
+        if out is not None:
+            out = out.reshape(a.shape[:-1] + b.shape[-1:])
+        return np.matmul(a, b, out=out).reshape(head + x.shape[lead:-1] + y.shape[lead + 1:])
 
     return ("matmul", x_perm, y_perm, lead), run
 
@@ -219,10 +270,27 @@ def _einsum_step(in_vars: list[tuple], out_vars: tuple):
         + "".join(letters[u] for u in out_vars)
     )
 
-    def run(*arrays):
-        return np.einsum(expr, *arrays)
+    def run(*arrays, out=None):
+        return np.einsum(expr, *arrays, out=out)
 
     return ("einsum", expr), run
+
+
+def _sources(in_vars: list[tuple], out_vars: tuple) -> tuple:
+    """The (input, axis) each axis over out_vars takes its length from."""
+    return tuple([next((i, vs.index(u)) for i, vs in enumerate(in_vars) if u in vs) for u in out_vars])
+
+
+def _split_plan(in_vars: list[tuple], out_vars: tuple) -> tuple | None:
+    """How _run splits a step that reads arrays over in_vars into one over
+    out_vars: the vertex axes its loop visits, its output's _sources, and
+    per input the axis that runs along output axis 0, None where the input
+    lacks it.  None for a scalar output, which has no axis to split."""
+    if not out_vars:
+        return None
+    loop = len(set().union(*in_vars) - {_BATCH})
+    cuts = tuple([vs.index(out_vars[0]) if out_vars[0] in vs else None for vs in in_vars])
+    return loop, _sources(in_vars, out_vars), cuts
 
 
 def _span(factors) -> frozenset:
@@ -290,7 +358,8 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
     group holds v's measure vector and another factor: v lies on an edge."""
 
     def multiply(factors, layout):
-        return emit(_product_step(_oriented(factors, layout, symmetric), layout), [f[1] for f in factors], layout)
+        in_vars = _oriented(factors, layout, symmetric)
+        return emit(_product_step(in_vars, layout), [f[1] for f in factors], layout, in_vars)
 
     union = _span(group)
     clusters: list = []  # (span, [head factor, factors folded into it])
@@ -311,7 +380,7 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
         else:
             # the folded factors span the head: multiply them into it, then sum
             vs, slot = multiply(group, head[0])
-            return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]))
+            return emit(_sum_step(vs.index(v)), [slot], tuple([u for u in vs if u != v]), [vs])
     else:
         sides = _best_split(clusters, union)
     if sides is None:
@@ -323,10 +392,11 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
                 head = multiply([head, *folded], layout)
             heads.append(head)
         out_vars = tuple(sorted(union - {v}))
-        return emit(_einsum_step([vs for vs, _ in heads], out_vars), [slot for _, slot in heads], out_vars)
+        in_vars = [vs for vs, _ in heads]
+        return emit(_einsum_step(in_vars, out_vars), [slot for _, slot in heads], out_vars, in_vars)
     x, y = sides
     x_layout, y_layout, out_vars, lead = _layouts(v, x, y)
-    operands, perms = [], []
+    operands, perms, in_vars = [], [], []
     for (side, _), layout in ((x, x_layout), (y, y_layout)):
         if len(side) == 1:
             ((_, slot),) = side
@@ -335,10 +405,13 @@ def _compile_step(v: int, group: list, emit, symmetric: range) -> tuple:
             perms.append(None if perm == tuple(range(len(perm))) else perm)
         else:
             side = sorted(side, key=lambda f: -len(f[0]))
-            _, slot = multiply(side, layout)
+            vs, slot = multiply(side, layout)
             perms.append(None)
         operands.append(slot)
-    return emit(_matmul_step(*perms, lead), operands, out_vars)
+        in_vars.append(vs)
+    # Without lead axes the matmul is one BLAS call, and BLAS may compute a
+    # block of rows in other bits than the whole: it is never split.
+    return emit(_matmul_step(*perms, lead), operands, out_vars, in_vars if lead else None)
 
 
 class _Program(NamedTuple):
@@ -352,6 +425,7 @@ class _Program(NamedTuple):
     widest: int  # most vertex axes on a step output; the batch axis is not counted
     frees: tuple[tuple[int, ...], ...]  # per step, the slots it is the last reader of
     keys: tuple[tuple, ...]  # per step, its kind and compiled parameters
+    splits: tuple  # per step, its _split_plan, or None for a step that is never split
 
     def cost(self) -> tuple[int, int]:
         """Matmul and einsum steps, then steps: lower is cheaper."""
@@ -368,20 +442,22 @@ def _deduplicated(n: int, edges: tuple, steps: list, widest: int, uniform: bool)
     seen: dict = {}
     kept: list = []
     keys: list = []
-    for key, run, ins in steps:
+    splits: list = []
+    for key, run, ins, split in steps:
         full_key = (key, tuple([value[i] for i in ins]))
         slot = seen.get(full_key)
         if slot is None:
             slot = seen[full_key] = inputs + len(kept)
             kept.append((run, tuple([where[i] for i in ins]), slot))
             keys.append(key)
+            splits.append(split)
         where.append(slot)
         value.append(slot)
     last = {i: k for k, (_, ins, _) in enumerate(kept) for i in ins}
     frees: list = [[] for _ in kept]
     for i, k in last.items():
         frees[k].append(i)
-    return _Program(n, edges, tuple(kept), widest, tuple(map(tuple, frees)), tuple(keys))
+    return _Program(n, edges, tuple(kept), widest, tuple(map(tuple, frees)), tuple(keys), tuple(splits))
 
 
 def _compiled(g: Graph, order: tuple[int, ...], batched: bool) -> tuple[_Program, _Program]:
@@ -399,9 +475,9 @@ def _compiled(g: Graph, order: tuple[int, ...], batched: bool) -> tuple[_Program
     steps: list = []
     widest = 0
 
-    def emit(step, ins, out_vars):
+    def emit(step, ins, out_vars, in_vars):
         nonlocal widest
-        steps.append((*step, tuple(ins)))
+        steps.append((*step, tuple(ins), None if in_vars is None else _split_plan(in_vars, out_vars)))
         widest = max(widest, len(out_vars) - (_BATCH in out_vars))
         return out_vars, n + len(edges) + len(steps) - 1
 
@@ -439,12 +515,65 @@ def _program(g: Graph, batched: bool, uniform: bool = False) -> _Program:
 
 
 def _run(program: _Program, measures: np.ndarray, edge_arrays: list):
+    parts = measures.size
+    batch = len(edge_arrays[0]) if edge_arrays[0].ndim == 3 else 1
     slots = [measures] * program.vertex_count + edge_arrays + [None] * len(program.steps)
-    for (run, ins, out), done in zip(program.steps, program.frees):
-        slots[out] = run(*[slots[i] for i in ins])
+    for (run, ins, out), split, done in zip(program.steps, program.splits, program.frees):
+        args = [slots[i] for i in ins]
+        if split is not None and (loop := parts ** split[0] * batch) >= _SPLIT_LOOP:
+            slots[out] = _split(run, args, loop, *split[1:])
+        else:
+            slots[out] = run(*args)
         for i in done:
             slots[i] = None  # free each slot after its last reader
     return slots[-1]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(run, args: list, loop: int, sources: tuple, cuts: tuple) -> np.ndarray:
+    """run(*args), whose loop visits `loop` elements, as contiguous slices
+    of its output's axis 0: one per usable CPU, none with a loop under half
+    of _SPLIT_LOOP.  The calling thread allocates the output and computes the
+    first slice; a thread that lives only for this call computes each other
+    one.  Each slice is one run call on the inputs sliced where they carry
+    that axis, writing into the output.
+    """
+    shape = [args[i].shape[j] for i, j in sources]
+    pieces = min(_usable_cpus(), shape[0], 2 * loop // _SPLIT_LOOP)
+    if pieces < 2:
+        return run(*args)
+    out = np.empty(shape)
+    bounds = [shape[0] * k // pieces for k in range(pieces + 1)]
+    errors: list = []
+
+    def piece(k: int) -> None:
+        s = slice(bounds[k], bounds[k + 1])
+        run(*[a if c is None else a[(slice(None),) * c + (s,)] for a, c in zip(args, cuts)], out=out[s])
+
+    def work(k: int) -> None:
+        try:
+            piece(k)
+        except Exception as e:  # raised in the calling thread after the join
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, pieces)]
+    for t in threads:
+        t.start()
+    try:
+        piece(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _contraction_jobs(h: Graph, parts: int, batch: int | None = None, uniform: bool = False) -> list:

@@ -344,14 +344,16 @@ def _half_square_certificate(h: Graph, f: Graph, note: str) -> Certificate:
     return Certificate(AVG_DEGREE_VIOLATION, h, "weak", lhs, rhs, kernel=u, subgraph=f, note=note)
 
 
-def subgraph_avg_degree_check(h: Graph) -> tuple[CheckResult, Certificate | None]:
+def subgraph_avg_degree_check(h: Graph, host: Graph | None = None) -> tuple[CheckResult, Certificate | None]:
     """Fail if some subgraph of h has strictly larger average degree.
 
     Comparison is exact rational.  Enumeration covers every edge-subset
     subgraph spanning at most SUBGRAPH_VERTICES vertices; the cap is
     reported as a completeness qualifier.  A graph with more than
     MAX_SUBSET_EDGES edges is not scanned: its entry is "inconclusive" and
-    gives the edge count.
+    gives the edge count.  The certificate is minted for `host`, h by
+    default; a host made of copies of h has h's average degree, so the
+    subgraph found in h refutes it too.
     """
     if h.vertex_count == 0 or h.edge_count == 0:
         raise ValueError("need a graph with at least one edge")
@@ -366,11 +368,11 @@ def subgraph_avg_degree_check(h: Graph) -> tuple[CheckResult, Certificate | None
         count += 1
         # e(f)/v(f) > e(h)/v(h) in integers; Fractions only for the evidence text
         if f.edge_count * h.vertex_count > h.edge_count * f.vertex_count:
-            sub, host = average_degree(f), average_degree(h)
+            sub, avg = average_degree(f), average_degree(h)
             note = f"subgraph with {f.edge_count} edges on {f.vertex_count} vertices has "
-            note += f"average degree {sub} > {host}"
-            result = CheckResult(name, "fail", f"subgraph average degree {sub} exceeds {host}")
-            return result, _half_square_certificate(h, f, note)
+            note += f"average degree {sub} > {avg}"
+            result = CheckResult(name, "fail", f"subgraph average degree {sub} exceeds {avg}")
+            return result, _half_square_certificate(h if host is None else host, f, note)
     evidence = f"checked {count} edge-subset subgraphs up to {SUBGRAPH_VERTICES} vertices"
     return CheckResult(name, "pass", evidence), None
 
@@ -609,10 +611,10 @@ def full_verdict(h: Graph, mode: str = "weak", trials: int = 1000, seed: int = 0
 
     if not certs:
         copy = edge_components(g)[0]
-        sub_check, sub_cert = subgraph_avg_degree_check(copy.graph)
+        sub_check, sub_cert = subgraph_avg_degree_check(copy.graph, g)
         checks.append(sub_check)
         if sub_cert is not None:
-            certs.append(_half_square_certificate(g, sub_cert.subgraph, sub_cert.note))
+            certs.append(sub_cert)
         if mode == "semi":
             checks.extend(star_or_eulerian_check(copy.graph))
         found = holder_search(copy.graph, trials=trials, seed=seed, mode=mode)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from graphnorms import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     decorated_density,
     decorated_density_bruteforce,
     density,
@@ -381,6 +386,181 @@ def test_shared_steps_never_raise_the_peak(host, widest):
         assert core._program(host, batched, True).widest == core._program(host, batched).widest == widest
     assert core._max_batch(host, parts) == core.CONTRACTION_LIMIT // parts**widest
     assert core.CONTRACTION_LIMIT == 2**25
+
+
+# ---------------------------------------------------------------------------
+# Steps split across CPUs
+# ---------------------------------------------------------------------------
+
+def _symmetric(rng, parts: int) -> np.ndarray:
+    upper = np.triu(rng.uniform(-0.5, 1.0, (parts, parts)))
+    return upper + np.triu(upper, 1).T
+
+
+def _measure_vector(rng, parts: int) -> np.ndarray:
+    measures = rng.uniform(0.5, 1.5, parts)
+    return measures / measures.sum()
+
+
+def _cases(host: Graph, measures: np.ndarray, arrays: list):
+    """(program, measures, edge arrays) for one array on every edge, distinct
+    arrays, and a batched stack of two of them on every edge."""
+    yield core._program(host, False, True), measures, [arrays[0]] * host.edge_count
+    yield core._program(host, False), measures, arrays[:host.edge_count]
+    yield core._program(host, True, True), measures, [np.stack(arrays[-2:])] * host.edge_count
+
+
+def _run_on(cpus: int, program, measures, arrays, split_loop: int | None = None):
+    """core._run with `cpus` usable CPUs and, when given, the split threshold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_usable_cpus", lambda: cpus)
+        if split_loop is not None:
+            mp.setattr(core, "_SPLIT_LOOP", split_loop)
+        return core._run(program, measures, arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_steps_give_the_serial_bits(data):
+    # Every step split, into more slices than this machine may have cores,
+    # batched and unbatched, for one array on every edge and for distinct ones.
+    h = data.draw(relabeled(connected_graphs()))
+    kernels = data.draw(st.integers(1, 3).flatmap(lambda k: kernel_families(h.edge_count + k, max_parts=5)))
+    cpus = data.draw(st.integers(2, 4))
+    for program, measures, arrays in _cases(h, kernels[0].measures, [w.values for w in kernels]):
+        serial = _run_on(1, program, measures, arrays)
+        assert _bits(_run_on(cpus, program, measures, arrays, split_loop=1)) == _bits(serial)
+
+
+@pytest.mark.parametrize("host, parts", [(complete(4), 64), (K33, 64), (Q3, 64), (complete(4), 128)])
+def test_split_contractions_keep_the_bits(monkeypatch, host, parts):
+    # Both at the module threshold and with every step split.  Only a
+    # matmul without lead axes, one BLAS call, is never split.
+    rng = np.random.default_rng(parts)
+    measures = _measure_vector(rng, parts)
+    arrays = [_symmetric(rng, parts) for _ in range(host.edge_count + 1)]
+    split_kinds = set()
+    split = core._split
+
+    def logged(run, *rest):
+        split_kinds.add(run.__qualname__.split(".")[0])
+        return split(run, *rest)
+
+    monkeypatch.setattr(core, "_split", logged)
+    for program, measures, arrays in _cases(host, measures, arrays):
+        for key, plan in zip(program.keys, program.splits):
+            if key[0] == "matmul":
+                assert (plan is None) == (key[3] == 0)
+        serial = _bits(_run_on(1, program, measures, arrays))
+        assert _bits(_run_on(2, program, measures, arrays)) == serial
+        assert _bits(_run_on(3, program, measures, arrays, split_loop=1)) == serial
+    expected = {"_product_step", "_matmul_step", "_sum_step"} | ({"_einsum_step"} if host == Q3 else set())
+    assert split_kinds == expected
+
+
+@pytest.mark.parametrize("host, parts", [(complete(4), 64), (K33, 64), (Q3, 64), (cycle(6), 64), (complete(4), 128)])
+def test_split_steps_never_raise_the_peak(host, parts):
+    # The calling thread allocates a split step's output, its slices write
+    # into it, and a product's slices keep numpy's broadcast buffers small.
+    # At 64 parts only Q3's triangle einsum splits; at 128 K4's products and
+    # sums do, and their slices hold less than the serial products.
+    rng = np.random.default_rng(2)
+    w = StepKernel(_measure_vector(rng, parts), _symmetric(rng, parts))
+    peaks, values = {}, {}
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_usable_cpus", lambda: cpus)
+            density(host, w)  # warm up outside the measurement
+            tracemalloc.start()
+            try:
+                values[cpus] = density(host, w)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    # A few hundred bytes either way are the interpreter's and numpy's own
+    # bookkeeping (thread state, per-call caches), not arrays.
+    assert peaks[2] <= peaks[1] + 2**12
+    assert _bits(values[2]) == _bits(values[1])
+
+
+def _counting_threads(monkeypatch) -> list:
+    started: list = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = StepKernel(_measure_vector(rng, 128), _symmetric(rng, 128))
+    h = disjoint_union(complete(4), cycle(5))
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    value = density(h, w)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    started = _counting_threads(monkeypatch)
+    assert _bits(density(h, w)) == _bits(value)
+    assert started == []
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert core._usable_cpus() == 1
+    monkeypatch.delattr(core.os, "sched_getaffinity")
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core._usable_cpus() == 1
+
+
+def test_a_failing_slice_raises_in_the_caller_after_every_slice_ends(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    threads = threading.active_count()
+    ended = []
+
+    def run(a, out=None):
+        if a[0] == 1.0:
+            raise FloatingPointError("slice")
+        ended.append(threading.current_thread())
+        out[...] = a
+
+    with pytest.raises(FloatingPointError, match="slice"):
+        core._split(run, [np.arange(3.0)], 3 * core._SPLIT_LOOP, ((0, 0),), (0,))
+    assert len(ended) == 2
+    assert threading.active_count() == threads
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "k44.txt", "--budget", "30"],  # weak K4,4: proven norming, so the whole search runs
+    ["validate", str(_GOLDEN / "cert-k4k3-weak-0.json")],
+    ["moduli", str(_GOLDEN / "c4.txt"), "--kind", "smoothness", "--n-grid", "128", "--seeds", "0"],
+])
+def test_search_validate_and_moduli_never_split(monkeypatch, capsys, tmp_path, argv):
+    (tmp_path / "k44.txt").write_text("\n".join(f"{u} {v}" for u, v in complete_bipartite(4, 4).sorted_edges))
+    monkeypatch.chdir(tmp_path)
+    splits = []
+    monkeypatch.setattr(core, "_split", lambda *args: splits.append(args))
+    started = _counting_threads(monkeypatch)
+    threads = threading.active_count()
+    assert main(argv) == 0
+    assert splits == [] and started == []
+    assert threading.active_count() == threads
+
+
+def test_import_starts_no_thread():
+    # Nothing is started or built before the first large step.
+    code = (
+        "import sys, threading, graphnorms; core = sys.modules['graphnorms.density']; "
+        "print(threading.active_count(), [n for n, v in vars(core).items() if isinstance(v, threading.Thread)])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == ["1", "[]"]
 
 
 # ---------------------------------------------------------------------------

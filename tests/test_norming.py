@@ -568,6 +568,24 @@ def test_verdict_refutes_by_the_subgraph_scan(k, mode):
     assert ok, detail
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_verdict_mints_the_subgraph_certificate_once(monkeypatch, k):
+    # The scan runs on one copy and mints its certificate for the host.
+    f = Graph.from_edges([*complete(4).edges, (3, 4)])
+    h = disjoint_union(*[f] * k)
+    calls = []
+
+    def counted(host, sub, note):
+        calls.append(host)
+        return mint(host, sub, note)
+
+    mint = norming._half_square_certificate
+    monkeypatch.setattr(norming, "_half_square_certificate", counted)
+    v = full_verdict(h, trials=5, seed=0)
+    assert calls == [h]
+    assert v.certificates[0].graph == h
+
+
 def test_verdict_json_is_deterministic(c4, c6):
     h = disjoint_union(c4, c6)
     a = json.dumps(verdict_to_json(full_verdict(h, trials=40, seed=3)))
